@@ -1,7 +1,7 @@
 """Exact-arithmetic Lagrangian triple invariants, Witt-valued cocycles,
 and Steinberg-symbol comparisons over Q, F_p, F_{p^2} and Q(sqrt(d))."""
 
-from .fields import FieldCtx, apply_involution, norm_subgroup_class
+from .fields import FieldCtx, norm_subgroup_class
 from .forms import (
     FormMatrix,
     congruence,
@@ -23,7 +23,6 @@ from .lagrange import (
     holonomy_reverse,
     is_opposite,
     kappa,
-    standard_pair,
     standardize_pair,
     u_t,
     w_element,
@@ -54,13 +53,8 @@ from .witt import (
     SHatElement,
     WittClass,
     hilbert_symbol,
-    in_II,
-    signed_disc,
     trace_transfer,
     witt_class,
-    witt_is_zero,
-    witt_neg,
-    witt_sum,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

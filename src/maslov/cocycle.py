@@ -337,6 +337,12 @@ def orbit_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
         else:
             raise TooLarge("census is implemented for rank <= 2")
     gens.append(w_element(space))
+    if ctx.has_trivial_involution and ctx.epsilon == -1:
+        # orthogonal case: every generator above has determinant 1; the
+        # reflection swapping e_1 and f_1 reaches the other half
+        rows = [list(r) for r in Matrix.identity(ctx, 2 * space.n).rows]
+        rows[0], rows[space.n] = rows[space.n], rows[0]
+        gens.append(UnitaryElement(space, Matrix(ctx, rows)))
     perms = []
     for g in gens:
         perms.append([index[g(lag)] for lag in lags])

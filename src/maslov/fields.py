@@ -464,9 +464,6 @@ class FieldCtx:
             body = f"Q(sqrt({self.d}))"
         return f"FieldCtx({body}, eps={self.epsilon:+d})"
 
-    def same_field(self, other) -> bool:
-        return (self.kind, self.p, self.d) == (other.kind, other.p, other.d)
-
     # -- elements ------------------------------------------------------
 
     def zero(self):
@@ -506,9 +503,6 @@ class FieldCtx:
         if self.kind in ("Q", "Fp"):
             return x
         return x.conj()
-
-    def is_fixed(self, x) -> bool:
-        return self.involution(x) == x
 
     def fixed_rational(self, x) -> Fraction:
         """The J-fixed scalar x as an exact rational (Fp maps to a lift)."""
@@ -585,11 +579,6 @@ class FieldCtx:
         return [str(x.a), str(x.b)]
 
 
-def apply_involution(ctx: FieldCtx, x):
-    """x^J for the context's involution."""
-    return ctx.involution(x)
-
-
 def _normalize_coset_fp2(ctx, x):
     # canonical representative of x modulo F_p^* inside F_{p^2}^*
     if x.b == 0:
@@ -612,18 +601,17 @@ def _clear_denominators_squarely(x: QuadElt) -> QuadElt:
 def rational_is_norm(d: int, q) -> bool:
     """Does x = a^2 - d b^2 have a rational solution for the rational q?
 
-    Decided by Hilbert symbols: q is a norm from Q(sqrt(d)) iff
-    (d, q)_v = +1 at every place v.
+    Exactly when the hermitian forms <q> and <1> over Q(sqrt(d)) are
+    isometric, that is, when their Witt keys agree.
     """
-    from .witt import hilbert_symbol, relevant_places
+    from .witt import _witt_key
 
     q = Fraction(q)
     if q == 0:
         raise ZeroScalar("0 is not a unit")
-    for place in relevant_places([Fraction(d), q]):
-        if hilbert_symbol(d, q, place) == -1:
-            return False
-    return True
+    ctx = FieldCtx("QSqrt", d=d)
+    return (_witt_key(ctx, 1, (ctx.from_rational(q),))
+            == _witt_key(ctx, 1, (ctx.one(),)))
 
 
 class NormClassRep:

@@ -211,10 +211,6 @@ def w_element(space: HyperbolicSpace) -> UnitaryElement:
                       zero))
 
 
-def standard_pair(space: HyperbolicSpace):
-    return space.standard_pair()
-
-
 # ---------------------------------------------------------------------------
 # Opposition and enumeration
 

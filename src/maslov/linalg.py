@@ -80,13 +80,6 @@ class Matrix:
     def row_block(self, lo, hi):
         return Matrix(self.ctx, self.rows[lo:hi])
 
-    def col(self, j):
-        return Matrix(self.ctx, [[r[j]] for r in self.rows])
-
-    def cols(self):
-        return [[self.rows[i][j] for i in range(self.m)]
-                for j in range(self.n)]
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):

@@ -1,10 +1,19 @@
 """Witt classes, the extended square-class group, and Hilbert symbols.
 
-Witt-class equality is always decided through complete invariant
-certificates (never by searching for an isometry): dimension parity and
-determinant class over a prime field, signature plus Hasse data over Q,
-dimension alone for hermitian forms over F_{p^2}, and the trace transfer
-into the rational Witt group for hermitian forms over Q(sqrt(d)).
+Every Witt-class decision (zero test, equality, hashing, and through
+``forms.isometry_key`` isometry) reads one complete invariant per field
+kind, ``_witt_key``, computed from a diagonal representative:
+
+  * F_p       -- dimension parity and the Legendre symbol of the signed
+                 discriminant;
+  * F_{p^2}   -- dimension parity;
+  * Q         -- the signature and the nonzero second residues d_p, after
+                 Milnor's W(Q) = Z + sum_p W(F_p) (Milnor-Husemoller,
+                 Symmetric Bilinear Forms, Ch. IV);
+  * Q(sqrt d) -- the rational key of the trace transfer.
+
+Hilbert symbols and Hasse invariants serve only the reported ``hasse``
+field, the ``hilbert`` command and the local oracles.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from .fields import (
     INF,
     FieldCtx,
     NormClassRep,
+    factorize,
     is_prime,
     legendre,
     norm_subgroup_class,
@@ -92,21 +102,10 @@ def hilbert_symbol(a, b, place) -> int:
 def relevant_places(entries):
     """Places where symbols built from the given rationals can be nontrivial:
     2, infinity, and every odd prime dividing a squarefree part."""
-    places = {2, INF}
+    places = {2}
     for e in entries:
-        n = abs(squarefree_part(Fraction(e)))
-        while n % 2 == 0:
-            n //= 2
-        f = 3
-        while f * f <= n:
-            if n % f == 0:
-                places.add(f)
-                while n % f == 0:
-                    n //= f
-            f += 2
-        if n > 2:
-            places.add(n)
-    return sorted(places, key=lambda pl: (pl == INF, pl if pl != INF else 0))
+        places |= _square_class(e)[1]
+    return sorted(places) + [INF]
 
 
 def p_adic_square_class(q, p: int):
@@ -220,12 +219,89 @@ class SHatElement:
 
 
 # ---------------------------------------------------------------------------
+# The Witt key
+
+
+def _square_class(q):
+    """(sign, primes of odd exponent) of a nonzero rational, read from the
+    cached factorizations of its numerator and denominator."""
+    q = Fraction(q)
+    odd = set()
+    for n in (q.numerator, q.denominator):
+        odd.update(p for p, e in factorize(n).items() if e % 2)
+    return (1 if q > 0 else -1), frozenset(odd)
+
+
+def _fp_key(p: int, n: int, det: int):
+    """Key of an n-dimensional form over F_p with determinant det: dimension
+    parity and the quadratic character of the signed discriminant."""
+    if n % 4 in (2, 3):
+        det = -det
+    return n % 2, legendre(det, p)
+
+
+def _rational_key(classes):
+    """Signature and nonzero second residues of the rational form whose
+    entries have the given square classes.  For odd p, d_p is the F_p key
+    of the units e/p of the entries e with p in their class; d_2 is the
+    parity of their number, as W(F_2) = Z/2."""
+    at = {}
+    for c in classes:
+        for p in c[1]:
+            at.setdefault(p, []).append(c)
+    residues = []
+    for p in sorted(at):
+        units = at[p]
+        if p == 2:
+            if len(units) % 2:
+                residues.append((2, 1))
+            continue
+        det = 1
+        for sign, primes in units:
+            det *= sign
+            for q in primes:
+                if q != p:
+                    det = det * q % p
+        r = _fp_key(p, len(units), det)
+        if r != (0, 1):
+            residues.append((p,) + r)
+    return sum(sign for sign, _ in classes), tuple(residues)
+
+
+def _witt_key(ctx: FieldCtx, eps: int, entries):
+    """Complete hashable invariant of the Witt class of the diagonal form
+    <entries>: two forms have the same class exactly when their keys agree.
+
+    Each entry's factorization is read on its own; no product of entries
+    is ever factored.
+    """
+    if eps == -1 and ctx.has_trivial_involution:
+        return ()  # the Witt group of skew forms is trivial
+    if ctx.kind == "Fp":
+        det = 1
+        for e in entries:
+            det = det * e.v % ctx.p
+        return _fp_key(ctx.p, len(entries), det)
+    if ctx.kind == "Fp2":
+        return len(entries) % 2
+    if ctx.kind == "Q":
+        return _rational_key([_square_class(e) for e in entries])
+    # Q(sqrt d): the trace transfer <a> -> <a, -d a>
+    sign_d, primes_d = _square_class(-ctx.d)
+    classes = []
+    for e in entries:
+        sign, primes = _square_class(ctx.fixed_rational(e))
+        classes += [(sign, primes), (sign * sign_d, primes ^ primes_d)]
+    return _rational_key(classes)
+
+
+# ---------------------------------------------------------------------------
 # Witt classes
 
 
 def _normalize_entry(ctx, e):
     # replacing a diagonal entry by a square multiple keeps its class;
-    # keeping entries squarefree bounds all later certificate arithmetic
+    # keeping entries squarefree bounds all later arithmetic
     if ctx.kind == "Q" and e:
         return Fraction(squarefree_part(e))
     if ctx.kind == "QSqrt" and e and e.b == 0:
@@ -236,8 +312,8 @@ def _normalize_entry(ctx, e):
 
 
 class WittClass:
-    """A Witt-group element, held as a diagonal representative plus the
-    invariant certificate that decides equality.
+    """A Witt-group element, held as a diagonal representative; its
+    ``_witt_key``, computed once, decides equality, zero and hashing.
 
     For skew forms over a field with trivial involution the group is
     trivial and the representative is empty.  Skew-hermitian forms over
@@ -245,14 +321,17 @@ class WittClass:
     ones on entry.
     """
 
-    __slots__ = ("ctx", "eps", "diag")
+    __slots__ = ("ctx", "eps", "diag", "_key_cache")
 
     def __init__(self, ctx: FieldCtx, diag, eps: int = 1):
+        if eps == -1 and ctx.has_trivial_involution:
+            diag = ()
         self.ctx = ctx
         self.eps = eps
         self.diag = tuple(_normalize_entry(ctx, e) for e in diag)
         if any(not e for e in self.diag):
             raise DegenerateInput("Witt representative has a zero entry")
+        self._key_cache = None
 
     # -- constructors ----------------------------------------------------
 
@@ -262,8 +341,14 @@ class WittClass:
 
     # -- helpers ----------------------------------------------------------
 
-    def _trivial_group(self) -> bool:
-        return self.eps == -1 and self.ctx.has_trivial_involution
+    def _key(self):
+        if self._key_cache is None:
+            self._key_cache = _witt_key(self.ctx, self.eps, self.diag)
+        return self._key_cache
+
+    def _check_context(self, other):
+        if self.ctx != other.ctx or self.eps != other.eps:
+            raise ContextMismatch("Witt classes over different contexts")
 
     def dim_mod2(self) -> int:
         return len(self.diag) % 2
@@ -287,62 +372,33 @@ class WittClass:
     # -- group structure ---------------------------------------------------
 
     def neg(self):
-        if self._trivial_group():
-            return self
         return WittClass(self.ctx, tuple(-e for e in self.diag), self.eps)
 
     def __add__(self, other):
         if not isinstance(other, WittClass):
             return NotImplemented
-        if self.ctx != other.ctx or self.eps != other.eps:
-            raise ContextMismatch("Witt classes over different contexts")
-        if self._trivial_group():
-            return self
-        return WittClass(
-            self.ctx, _strip_hyperbolic(self.ctx, self.diag + other.diag),
-            self.eps)
+        self._check_context(other)
+        return WittClass(self.ctx, self.diag + other.diag, self.eps)
 
     def __sub__(self, other):
         return self + other.neg()
 
     def is_zero(self) -> bool:
-        if self._trivial_group() or not self.diag:
-            return True
-        ctx = self.ctx
-        n = len(self.diag)
-        if n % 2:
-            return False
-        m = n // 2
-        if ctx.kind == "Fp":
-            want = FieldCtx("Fp", p=ctx.p).from_int((-1) ** m)
-            return legendre((self.det() / want).v, ctx.p) == 1
-        if ctx.kind == "Fp2":
-            return True
-        if ctx.kind == "Q":
-            entries = self.rational_entries()
-            if sum(1 if e > 0 else -1 for e in entries) != 0:
-                return False
-            if squarefree_part(self.det()) != squarefree_part(
-                    Fraction((-1) ** m)):
-                return False
-            return all(
-                hasse_invariant(entries, pl) == local_hyperbolic_hasse(n, pl)
-                for pl in relevant_places(entries))
-        return trace_transfer(self).is_zero()
+        return self._key() == _witt_key(self.ctx, self.eps, ())
 
     def __eq__(self, other):
         if not isinstance(other, WittClass):
             return NotImplemented
-        return (self - other).is_zero()
+        self._check_context(other)
+        return self._key() == other._key()
 
     def __hash__(self):
-        # classes are compared through is_zero; hash only on the context
-        return hash((self.ctx, self.eps))
+        return hash((self.ctx, self.eps, self._key()))
 
     # -- invariants --------------------------------------------------------
 
     def signed_disc(self) -> SHatElement:
-        if self._trivial_group() or not self.diag:
+        if not self.diag:
             return SHatElement.identity(self.ctx)
         n = len(self.diag)
         s = self.det()
@@ -352,24 +408,6 @@ class WittClass:
 
     def in_II(self) -> bool:
         return self.signed_disc().is_identity()
-
-    def key(self):
-        """Hashable canonical certificate over the finite kinds.
-
-        Dimension parity plus the signed discriminant determine the class
-        over F_p; parity alone suffices over F_{p^2}.  The infinite kinds
-        have no cheap canonical key and are compared through is_zero.
-        """
-        ctx = self.ctx
-        if self.is_zero():
-            return ("witt0", ctx._key())
-        if ctx.kind == "Fp":
-            s = self.signed_disc()
-            return ("wittFp", ctx.p, self.dim_mod2(),
-                    legendre(s.s.rep.v, ctx.p))
-        if ctx.kind == "Fp2":
-            return ("wittFp2", ctx.p, self.dim_mod2())
-        raise ValidationError("no canonical Witt key over infinite fields")
 
     def to_json(self):
         out = {
@@ -396,37 +434,20 @@ class WittClass:
         return f"WittClass({list(self.diag)!r})"
 
 
-def _is_hyperbolic_pair(ctx, a, b) -> bool:
-    prod = -(a * b)
-    if ctx.kind == "Q":
-        return squarefree_part(prod) == 1
-    if ctx.kind == "Fp":
-        return legendre(prod.v, ctx.p) == 1
-    if ctx.kind == "Fp2":
-        return True
-    from .fields import rational_is_norm
-
-    if prod.b != 0:
-        return False
-    return rational_is_norm(ctx.d, prod.a)
-
-
-def _strip_hyperbolic(ctx, diag):
-    """Greedily drop <a, -a> pairs; an optimization only, since equality
-    is decided by invariants."""
+def _strip_hyperbolic(ctx, eps, diag):
+    """Drop pairs of entries whose class is zero, first pair first; this
+    only shortens the reported representative."""
+    zero = _witt_key(ctx, eps, ())
     entries = list(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                if _is_hyperbolic_pair(ctx, entries[i], entries[j]):
-                    del entries[j]
-                    del entries[i]
-                    changed = True
-                    break
-            if changed:
+    i = 0
+    while i < len(entries):
+        for j in range(i + 1, len(entries)):
+            if _witt_key(ctx, eps, (entries[i], entries[j])) == zero:
+                del entries[j]
+                del entries[i]
                 break
+        else:
+            i += 1
     return tuple(entries)
 
 
@@ -434,35 +455,13 @@ def witt_class(t: FormMatrix) -> WittClass:
     """The image of the form in the Witt group of its context."""
     if not t.is_nondegenerate():
         raise DegenerateInput("Witt class needs a nondegenerate form")
-    ctx = t.ctx
-    if t.eps == -1:
+    ctx, eps = t.ctx, t.eps
+    if eps == -1:
         if ctx.has_trivial_involution:
-            return WittClass(ctx, (), eps=-1)
-        herm = _scale_to_hermitian(t)
-        return WittClass(
-            ctx, _strip_hyperbolic(ctx, diagonalize(herm).diag), eps=-1)
-    dg = diagonalize(t)
-    return WittClass(ctx, _strip_hyperbolic(ctx, dg.diag), eps=1)
-
-
-def witt_sum(a: WittClass, b: WittClass) -> WittClass:
-    return a + b
-
-
-def witt_neg(a: WittClass) -> WittClass:
-    return a.neg()
-
-
-def witt_is_zero(a: WittClass) -> bool:
-    return a.is_zero()
-
-
-def signed_disc(a: WittClass) -> SHatElement:
-    return a.signed_disc()
-
-
-def in_II(a: WittClass) -> bool:
-    return a.in_II()
+            return WittClass.zero(ctx, eps)
+        t = _scale_to_hermitian(t)
+    return WittClass(ctx, _strip_hyperbolic(ctx, eps, diagonalize(t).diag),
+                     eps)
 
 
 def trace_transfer(h: WittClass) -> WittClass:
@@ -470,14 +469,11 @@ def trace_transfer(h: WittClass) -> WittClass:
     group: <a_1,...,a_n> maps to <1,-d> tensor <a_1,...,a_n>."""
     if h.ctx.kind != "QSqrt":
         raise WrongContext("trace transfer needs a Q(sqrt(d)) context")
-    d = h.ctx.d
-    qctx = FieldCtx("Q", epsilon=1)
+    minus_d = Fraction(-h.ctx.d)
     entries = []
-    for e in h.diag:
-        a = h.ctx.fixed_rational(e)
-        entries.append(Fraction(a))
-        entries.append(Fraction(-d) * a)
-    return WittClass(qctx, _strip_hyperbolic(qctx, tuple(entries)), eps=1)
+    for a in h.rational_entries():
+        entries += [a, minus_d * a]
+    return WittClass(FieldCtx("Q", epsilon=1), entries, eps=1)
 
 
 def local_invariant_tuples(p: int):

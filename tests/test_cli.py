@@ -3,8 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from maslov import cli
 
 RUN = [sys.executable, "-m", "maslov.cli"]
 
@@ -134,3 +137,26 @@ def test_output_file(tmp_path):
     assert proc.returncode == 0
     assert json.loads(out.read_text())["outputs"]["symbol"] == 1
     assert out.read_text() == proc.stdout
+
+
+def test_skew_census_over_prime_fields_is_one_orbit():
+    for p in (3, 5):
+        proc = invoke("census", "--field",
+                      json.dumps({"kind": "Fp", "p": p, "epsilon": -1}),
+                      "--input", '{"n":2}')
+        assert proc.returncode == 0
+        assert report_of(proc)["outputs"]["classes"] == 1
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_reports.json").read_text())
+
+
+@pytest.mark.parametrize("job", GOLDEN, ids=lambda job: " ".join(
+    job["argv"][:3]))
+def test_golden_witt_and_kappa_reports(job, capsys):
+    # one job per field kind whose diagonal holds a hyperbolic pair; the
+    # representative and hasse fields must not change
+    assert cli.run(job["argv"]) == 0
+    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == expected

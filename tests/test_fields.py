@@ -8,7 +8,6 @@ import pytest
 from maslov.errors import ValidationError, ZeroScalar
 from maslov.fields import (
     FieldCtx,
-    apply_involution,
     norm_subgroup_class,
     rational_is_norm,
     squarefree_part,
@@ -40,16 +39,16 @@ def test_context_validation():
 
 def test_involution_examples():
     q = FieldCtx("Q")
-    assert apply_involution(q, Fraction(3, 2)) == Fraction(3, 2)
+    assert q.involution(Fraction(3, 2)) == Fraction(3, 2)
 
     qi = FieldCtx("QSqrt", d=-1)
     x = qi.parse_scalar(["1", "2"])  # 1 + 2 sqrt(-1)
-    assert apply_involution(qi, x) == qi.parse_scalar(["1", "-2"])
+    assert qi.involution(x) == qi.parse_scalar(["1", "-2"])
 
     f9 = FieldCtx("Fp2", p=3)
     w = f9.generator()
     # Frobenius is x -> x^p
-    assert apply_involution(f9, w) == w * w * w
+    assert f9.involution(w) == w * w * w
 
 
 @pytest.mark.parametrize("ctx", ALL_CTXS, ids=repr)
@@ -58,9 +57,9 @@ def test_involution_is_involutive_and_multiplicative(ctx):
     for _ in range(40):
         x = ctx.random_element(rng)
         y = ctx.random_element(rng)
-        assert apply_involution(ctx, apply_involution(ctx, x)) == x
-        assert (apply_involution(ctx, x * y)
-                == apply_involution(ctx, x) * apply_involution(ctx, y))
+        assert ctx.involution(ctx.involution(x)) == x
+        assert (ctx.involution(x * y)
+                == ctx.involution(x) * ctx.involution(y))
 
 
 def test_squarefree_part():
@@ -114,7 +113,7 @@ def test_norm_class_kills_norms(ctx):
     for _ in range(25):
         x = ctx.random_nonzero(rng)
         y = ctx.random_nonzero(rng)
-        scaled = x * apply_involution(ctx, y) * y
+        scaled = x * ctx.involution(y) * y
         assert norm_subgroup_class(ctx, scaled) == norm_subgroup_class(ctx, x)
 
 
@@ -125,7 +124,7 @@ def test_fp2_norm_classes_are_cosets_of_fp():
     reps = {norm_subgroup_class(ctx, x).rep for x in star}
     assert len(reps) == 4  # (p^2 - 1)/(p - 1) = p + 1 cosets
     for x in star:
-        if x == apply_involution(ctx, x):
+        if x == ctx.involution(x):
             assert norm_subgroup_class(ctx, x).is_trivial()
 
 

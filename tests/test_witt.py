@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from maslov.errors import ContextMismatch, DegenerateInput, ZeroInput
-from maslov.fields import INF, FieldCtx, squarefree_part
-from maslov.forms import FormMatrix
+from maslov.fields import INF, FieldCtx, rational_is_norm
+from maslov.forms import FormMatrix, is_isometric
 from maslov.sampling import random_hermitian_invertible, rng_for
 from maslov.witt import (
     SHatElement,
@@ -315,3 +316,159 @@ def test_squarefree_disc_canonical():
     b = wc(Q, [2, 3, 5, -5])
     assert a == b
     assert a.signed_disc() == b.signed_disc()
+
+
+def test_relevant_places_factors_large_entries_promptly():
+    started = time.perf_counter()
+    places = relevant_places([Fraction(998244359987710471), 1])
+    assert places == [2, 998244353, 1000000007, INF]
+    assert time.perf_counter() - started < 5
+
+
+# ---------------------------------------------------------------------------
+# the Witt key against independent oracles
+
+
+def _hasse_minkowski_zero(entries):
+    return all(local_witt_is_zero(entries, pl)
+               for pl in relevant_places(entries))
+
+
+def _random_rational(rng):
+    num = rng.choice([x for x in range(-40, 41) if x])
+    return Fraction(num * rng.choice([1, 1, 4, 9]), rng.randint(1, 12))
+
+
+def _random_pair(rng):
+    """Two rational diagonals: unrelated, or the second obtained from the
+    first by hyperbolic padding, the move <x, y> -> <x+y, xy(x+y)> and
+    reordering."""
+    a = [_random_rational(rng) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:
+        return a, [_random_rational(rng) for _ in range(rng.randint(0, 5))]
+    b = list(a)
+    if rng.random() < 0.6:
+        c = _random_rational(rng)
+        b += [c, -c * rng.choice([1, 4, Fraction(1, 9)])]
+    if len(b) >= 2 and b[0] + b[1] and rng.random() < 0.7:
+        x, y = b[0], b[1]
+        b[:2] = [x + y, x * y * (x + y)]
+    if rng.random() < 0.3:
+        b[-1] *= rng.choice([-1, 2, 3])  # usually a different class
+    rng.shuffle(b)
+    return a, b
+
+
+def test_key_matches_hasse_minkowski_over_q():
+    rng = random.Random(47)
+    outcomes = set()
+    for _ in range(400):
+        a, b = _random_pair(rng)
+        equal = WittClass(Q, a) == WittClass(Q, b)
+        assert equal == _hasse_minkowski_zero(a + [-e for e in b]), (a, b)
+        outcomes.add(equal)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("d", [-7, -5, -3, -2, -1, 2, 3, 5, 6, 10])
+def test_key_matches_hasse_minkowski_over_quadratic_fields(d):
+    ctx = FieldCtx("QSqrt", d=d)
+    rng = random.Random(53 + d)
+    outcomes = set()
+    for _ in range(60):
+        a, b = _random_pair(rng)
+        equal = (WittClass(ctx, [ctx.from_rational(e) for e in a])
+                 == WittClass(ctx, [ctx.from_rational(e) for e in b]))
+        trace = [f for e in a + [-e for e in b] for f in (e, -d * e)]
+        assert equal == _hasse_minkowski_zero(trace), (d, a, b)
+        outcomes.add(equal)
+    assert outcomes == {True, False}
+    for _ in range(60):
+        q = _random_rational(rng)
+        by_symbols = all(hilbert_symbol(d, q, pl) == 1
+                         for pl in relevant_places([d, q]))
+        assert rational_is_norm(d, q) == by_symbols, (d, q)
+
+
+def _gl(ctx, n):
+    els = ctx.elements()
+    for g in itertools.product(els, repeat=n * n):
+        m = [g[i * n:(i + 1) * n] for i in range(n)]
+        det = m[0][0] if n == 1 else m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        if det:
+            yield m
+
+
+def _orbit(ctx, diag, group):
+    # every g^J <diag> g, as a tuple of entries
+    n = len(diag)
+    inv = ctx.involution
+    out = set()
+    for g in group:
+        out.add(tuple(
+            sum((inv(g[k][i]) * diag[k] * g[k][j] for k in range(n)),
+                ctx.zero())
+            for i in range(n) for j in range(n)))
+    return out
+
+
+@pytest.mark.parametrize("ctx", [F3, F5, F9], ids=repr)
+def test_key_matches_brute_force_isometry_over_finite_fields(ctx):
+    fixed = [x for x in ctx.nonzero_elements() if ctx.involution(x) == x]
+    forms = [(x,) for x in fixed] + list(itertools.product(fixed, repeat=2))
+    groups = {n: list(_gl(ctx, n)) for n in (1, 2)}
+    orbits = {f: _orbit(ctx, f, groups[len(f)]) for f in forms}
+
+    def matrix(f):
+        return f if len(f) == 1 else (f[0], ctx.zero(), ctx.zero(), f[1])
+
+    hyperbolic = orbits[(ctx.one(), -ctx.one())]
+    for f in forms:
+        cf = WittClass(ctx, f)
+        assert cf.is_zero() == (matrix(f) in hyperbolic)
+        for g in forms:
+            isometric = len(f) == len(g) and matrix(g) in orbits[f]
+            assert (cf == WittClass(ctx, g)) == isometric, (f, g)
+            assert is_isometric(FormMatrix.diagonal(ctx, f),
+                                FormMatrix.diagonal(ctx, g)) == isometric
+
+
+@pytest.mark.parametrize("ctx", HERM_CTXS, ids=repr)
+def test_equal_classes_hash_equal(ctx):
+    classes = []
+    for trial in range(40):
+        rng = rng_for(59, trial)
+        f = random_hermitian_invertible(ctx, rng.choice([1, 2, 3]), rng,
+                                        eps=1)
+        c = witt_class(f)
+        classes += [c, c + witt_class(f.direct_sum(f.neg()))]
+    for a in classes:
+        for b in classes:
+            if a == b:
+                assert hash(a) == hash(b)
+    assert len({hash(c) for c in classes}) > 1
+
+
+def test_no_product_of_entries_is_factored(monkeypatch):
+    import maslov.fields as fields
+
+    big, bigger = 2 ** 61 - 1, 2 ** 89 - 1  # both prime
+    factor = fields._factorize_abs
+
+    def guarded(n):
+        assert n <= bigger, f"factored a product: {n}"
+        return factor(n)
+
+    monkeypatch.setattr(fields, "_factorize_abs", guarded)
+    for ctx in (Q, QI):
+        def cls(*entries):
+            return WittClass(ctx, [ctx.from_rational(e) for e in entries])
+
+        a = cls(big, -bigger)
+        b = cls(-bigger, big)
+        assert a == b
+        assert (a - b).is_zero()
+        assert (cls(big) + cls(-big)).is_zero()
+        assert cls(big) != cls(bigger)
+        assert not (cls(big, bigger) + cls(big)).is_zero()
+        assert hash(a) == hash(b)
