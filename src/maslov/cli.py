@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .errors import MaslovError, ParseError
+from .errors import MaslovError, NonGeneric, ParseError
 from .fields import INF, FieldCtx
 from .forms import FormMatrix
 from .lagrange import (
@@ -245,7 +245,7 @@ def cmd_compare(ctx, inputs, args):
                 if compare_stbg_maslov(g1, g2):
                     good += 1
                 break
-            except MaslovError:
+            except NonGeneric:
                 continue
     checks = [{"name": "stbg-vs-reduced", "pass": good == args.trials,
                "detail": f"{good}/{args.trials}"}]

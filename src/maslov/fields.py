@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ContextMismatch, ParseError, ValidationError, ZeroScalar
+from .errors import ParseError, ValidationError, ZeroScalar
 
 INF = "inf"  # the real place, used by Hilbert-symbol code
 
@@ -579,108 +579,9 @@ class FieldCtx:
         return [str(x.a), str(x.b)]
 
 
-def _normalize_coset_fp2(ctx, x):
-    # canonical representative of x modulo F_p^* inside F_{p^2}^*
-    if x.b == 0:
-        return ctx.one()
-    if x.a == 0:
-        return ctx.generator()
-    return Fp2Elt(ctx.p, ctx.nu, 1, (x.b * pow(x.a, ctx.p - 2, ctx.p)) % ctx.p)
+def norm_subgroup_class(ctx: FieldCtx, x):
+    """The class of x modulo the norm subgroup {y^J y}, as a
+    ``witt.NormClassRep``."""
+    from .witt import NormClassRep
 
-
-def _clear_denominators_squarely(x: QuadElt) -> QuadElt:
-    # only square rational factors are guaranteed norms, so the class is
-    # preserved by scaling with the squared common denominator alone
-    den = (x.a.denominator * x.b.denominator) // math.gcd(
-        x.a.denominator, x.b.denominator
-    )
-    scale = Fraction(den) ** 2
-    return QuadElt(x.d, x.a * scale, x.b * scale)
-
-
-def rational_is_norm(d: int, q) -> bool:
-    """Does x = a^2 - d b^2 have a rational solution for the rational q?
-
-    Exactly when the hermitian forms <q> and <1> over Q(sqrt(d)) are
-    isometric, that is, when their Witt keys agree.
-    """
-    from .witt import _witt_key
-
-    q = Fraction(q)
-    if q == 0:
-        raise ZeroScalar("0 is not a unit")
-    ctx = FieldCtx("QSqrt", d=d)
-    return (_witt_key(ctx, 1, (ctx.from_rational(q),))
-            == _witt_key(ctx, 1, (ctx.one(),)))
-
-
-class NormClassRep:
-    """Canonical-ish representative of a scalar modulo N = {y^J y}.
-
-    Over Q and F_p the representative is fully canonical (signed squarefree
-    integer resp. 1 or the least non-residue).  Over F_{p^2} it is the
-    normalized coset representative modulo F_p^*.  Over Q(sqrt(d)) the
-    representative is only primitive-normalized and equality falls back to
-    the norm-membership test for the ratio.
-    """
-
-    __slots__ = ("ctx", "rep")
-
-    def __init__(self, ctx: FieldCtx, x):
-        if not x:
-            raise ZeroScalar("norm class of 0 is undefined")
-        self.ctx = ctx
-        if ctx.kind == "Q":
-            self.rep = Fraction(squarefree_part(x))
-        elif ctx.kind == "Fp":
-            self.rep = (
-                FpElt(ctx.p, 1)
-                if legendre(x.v, ctx.p) == 1
-                else FpElt(ctx.p, ctx._least_nonresidue(ctx.p))
-            )
-        elif ctx.kind == "Fp2":
-            self.rep = _normalize_coset_fp2(ctx, x)
-        else:
-            if x.b == 0:
-                self.rep = QuadElt(ctx.d, squarefree_part(x.a), 0)
-            else:
-                self.rep = _clear_denominators_squarely(x)
-
-    def is_trivial(self) -> bool:
-        if self.ctx.kind in ("Q", "Fp", "Fp2"):
-            return self.rep == self.ctx.one()
-        if self.rep.b != 0:
-            return False
-        return rational_is_norm(self.ctx.d, self.rep.a)
-
-    def __mul__(self, other):
-        if self.ctx != other.ctx:
-            raise ContextMismatch("norm classes from different fields")
-        return NormClassRep(self.ctx, self.rep * other.rep)
-
-    def __eq__(self, other):
-        if not isinstance(other, NormClassRep) or self.ctx != other.ctx:
-            return NotImplemented
-        if self.rep == other.rep:
-            return True
-        if self.ctx.kind != "QSqrt":
-            return False
-        # two classes agree iff the ratio is a rational norm from Q(sqrt(d))
-        ratio = self.rep / other.rep
-        if ratio.b != 0:
-            return False
-        return rational_is_norm(self.ctx.d, ratio.a)
-
-    def __hash__(self):
-        # Q(sqrt(d)) reps are not fully canonical; hash conservatively.
-        if self.ctx.kind == "QSqrt":
-            return hash(("normclass", self.ctx._key()))
-        return hash(("normclass", self.ctx._key(), self.rep))
-
-    def __repr__(self):
-        return f"NormClass({self.rep!r})"
-
-
-def norm_subgroup_class(ctx: FieldCtx, x) -> NormClassRep:
-    """Canonical representative of x modulo the norm subgroup {y^J y}."""
-    return NormClassRep(ctx, x)
+    return NormClassRep(ctx, (x,))

@@ -88,10 +88,7 @@ class Lagrangian:
     def __eq__(self, other):
         if not isinstance(other, Lagrangian):
             return NotImplemented
-        if self.space != other.space:
-            return False
-        # column spans agree iff the juxtaposition keeps rank n
-        return self.basis.hstack(other.basis).rank() == self.space.n
+        return self.space == other.space and self.canonical == other.canonical
 
     def __hash__(self):
         return hash((self.space, self.canonical))

@@ -10,6 +10,35 @@ from .errors import DimensionMismatch, SingularInput, ValidationError
 from .fields import FieldCtx
 
 
+def _gauss_jordan(ctx, a):
+    """Bring the list of row lists a to reduced row echelon form in place;
+    returns the pivot columns."""
+    m = len(a)
+    n = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, m):
+            if a[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = ctx.one() / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
 class Matrix:
     __slots__ = ("ctx", "rows", "m", "n")
 
@@ -178,50 +207,18 @@ class Matrix:
         if self.m != self.n:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.n
-        a = [list(r) + list(idr) for r, idr
-             in zip(self.rows, Matrix.identity(self.ctx, n).rows)]
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if a[i][k]:
-                    piv = i
-                    break
-            if piv is None:
-                raise SingularInput("matrix is singular")
-            a[k], a[piv] = a[piv], a[k]
-            inv = self.ctx.one() / a[k][k]
-            a[k] = [x * inv for x in a[k]]
-            for i in range(n):
-                if i != k and a[i][k]:
-                    f = a[i][k]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        one, zero = self.ctx.one(), self.ctx.zero()
+        a = [list(r) + [one if i == j else zero for j in range(n)]
+             for i, r in enumerate(self.rows)]
+        # [A | I] has rank n; A is invertible iff its pivots are A's columns
+        if n and _gauss_jordan(self.ctx, a)[-1] >= n:
+            raise SingularInput("matrix is singular")
         return Matrix(self.ctx, [r[n:] for r in a])
 
     def rref(self):
         """Reduced row echelon form together with the pivot columns."""
         a = [list(r) for r in self.rows]
-        m, n = self.m, self.n
-        pivots = []
-        r = 0
-        for c in range(n):
-            piv = None
-            for i in range(r, m):
-                if a[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = self.ctx.one() / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(m):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
+        pivots = _gauss_jordan(self.ctx, a)
         return Matrix(self.ctx, a), pivots
 
     def rank(self):

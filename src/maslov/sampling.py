@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import NotFound
 from .forms import FormMatrix
 from .lagrange import (
     BasedLagrangian,
@@ -34,6 +35,9 @@ def random_invertible(ctx, n, rng, span=3) -> Matrix:
 
 def random_hermitian(ctx, n, rng, eps=None, span=3) -> FormMatrix:
     eps = ctx.epsilon if eps is None else eps
+    # with a trivial involution, skew-hermitian means alternating
+    if n == 1 and eps == -1 and ctx.has_trivial_involution:
+        raise NotFound("the only 1 x 1 alternating matrix is zero")
     while True:
         raw = Matrix(ctx, [[ctx.random_element(rng, span) for _ in range(n)]
                            for _ in range(n)])
@@ -43,6 +47,9 @@ def random_hermitian(ctx, n, rng, eps=None, span=3) -> FormMatrix:
 
 
 def random_hermitian_invertible(ctx, n, rng, eps=None, span=3) -> FormMatrix:
+    eps = ctx.epsilon if eps is None else eps
+    if n % 2 and eps == -1 and ctx.has_trivial_involution:
+        raise NotFound("alternating matrices of odd size are singular")
     while True:
         f = random_hermitian(ctx, n, rng, eps, span)
         if f.is_nondegenerate():

@@ -186,15 +186,10 @@ def generic_decompose(g: Matrix) -> Sl2Factorization:
 def stbg(g1: Matrix, g2: Matrix) -> SymbolSum:
     """The generic-normal-form value of the universal two-cocycle:
     {t/(r1 r2), -r1/r2} - {-r1, -r2} with t = t1 + s2 nonzero."""
-    f1 = generic_decompose(g1)
-    f2 = generic_decompose(g2)
-    if f1.shape != "b" or f2.shape != "b":
-        raise NonGeneric("both factors must have nonzero lower-left entry")
-    ctx = g1.ctx
-    t = f1.t + f2.s
-    if not t:
-        raise NonGeneric("t1 + s2 vanishes; resample")
-    r1, r2 = f1.r, f2.r
+    return _stbg_sum(g1.ctx, *stbg_parameters(g1, g2))
+
+
+def _stbg_sum(ctx, r1, r2, t) -> SymbolSum:
     return (SymbolSum.symbol(ctx, t / (r1 * r2), -(r1 / r2))
             - SymbolSum.symbol(ctx, -r1, -r2))
 
@@ -211,14 +206,12 @@ def stbg_parameters(g1: Matrix, g2: Matrix):
     return f1.r, f2.r, t
 
 
-def reduced_route(g1: Matrix, g2: Matrix) -> WittClass:
-    """The cocycle value of the generic pair computed through the reduced
-    cocycle on the based triple with witnesses a = 1, b = r1^{-1},
-    c = -r2^{-1}."""
+def reduced_route(ctx, r1, r2, t) -> WittClass:
+    """The cocycle value of the generic pair with parameters (r1, r2, t),
+    computed through the reduced cocycle on the based triple with
+    witnesses a = 1, b = r1^{-1}, c = -r2^{-1}."""
     from .cocycle import BasedTriple, reduced_maslov
 
-    ctx = g1.ctx
-    r1, r2, t = stbg_parameters(g1, g2)
     space = HyperbolicSpace(ctx, 1)
     one = ctx.one()
     bt = BasedTriple.from_witnesses(
@@ -236,8 +229,8 @@ def compare_stbg_maslov(g1: Matrix, g2: Matrix) -> bool:
     -[<t, r1 r2 t, r1, r2>] and the reduced-cocycle route?"""
     ctx = g1.ctx
     r1, r2, t = stbg_parameters(g1, g2)
-    via_R = R_map(stbg(g1, g2))
+    via_R = R_map(_stbg_sum(ctx, r1, r2, t))
     closed = witt_class(FormMatrix.diagonal(
         ctx, [t, r1 * r2 * t, r1, r2], 1)).neg()
-    via_reduced = reduced_route(g1, g2)
+    via_reduced = reduced_route(ctx, r1, r2, t)
     return via_R == closed and via_reduced == closed

@@ -12,12 +12,16 @@ kind, ``_witt_key``, computed from a diagonal representative:
                  Symmetric Bilinear Forms, Ch. IV);
   * Q(sqrt d) -- the rational key of the trace transfer.
 
+Norm classes, and with them the extended square-class group S^, are
+decided the same way by ``_norm_class``, from unmultiplied factors.
+
 Hilbert symbols and Hasse invariants serve only the reported ``hasse``
 field, the ``hilbert`` command and the local oracles.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -26,15 +30,16 @@ from .errors import (
     ValidationError,
     WrongContext,
     ZeroInput,
+    ZeroScalar,
 )
 from .fields import (
     INF,
     FieldCtx,
-    NormClassRep,
+    Fp2Elt,
+    QuadElt,
     factorize,
     is_prime,
     legendre,
-    norm_subgroup_class,
     squarefree_part,
 )
 from .forms import (
@@ -152,73 +157,6 @@ def local_witt_is_zero(entries, place) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The extended square-class group S^
-
-
-class SHatElement:
-    """Extended square class (s, +-1) with the twisted group law
-
-        (x, (-1)^m) + (y, (-1)^n) = (x y (-1)^{mn}, (-1)^{m+n}).
-    """
-
-    __slots__ = ("ctx", "s", "sign")
-
-    def __init__(self, ctx: FieldCtx, s, sign: int):
-        if sign not in (1, -1):
-            raise ValidationError("sign must be +1 or -1")
-        if isinstance(s, NormClassRep):
-            self.s = s
-        else:
-            self.s = norm_subgroup_class(ctx, s)
-        self.ctx = ctx
-        self.sign = sign
-
-    @staticmethod
-    def identity(ctx):
-        return SHatElement(ctx, ctx.one(), 1)
-
-    def __add__(self, other):
-        if self.ctx != other.ctx:
-            raise ContextMismatch("S^ elements over different fields")
-        twist = -1 if (self.sign == -1 and other.sign == -1) else 1
-        s = self.s.rep * other.s.rep
-        if twist == -1:
-            s = -s
-        return SHatElement(self.ctx, s, self.sign * other.sign)
-
-    def neg(self):
-        s = self.ctx.one() / self.s.rep
-        if self.sign == -1:
-            s = -s
-        return SHatElement(self.ctx, s, self.sign)
-
-    def __sub__(self, other):
-        return self + other.neg()
-
-    def is_identity(self) -> bool:
-        return self.sign == 1 and self.s.is_trivial()
-
-    def __eq__(self, other):
-        if not isinstance(other, SHatElement):
-            return NotImplemented
-        return self.sign == other.sign and self.s == other.s
-
-    def __hash__(self):
-        return hash((self.ctx, self.sign, self.s))
-
-    def to_json(self):
-        rep = self.s.rep
-        if self.ctx.kind == "Q":
-            srep = str(rep)
-        else:
-            srep = self.ctx.scalar_to_json(rep)
-        return {"s": srep, "sign": self.sign}
-
-    def __repr__(self):
-        return f"({self.s.rep!r}, {self.sign:+d})"
-
-
-# ---------------------------------------------------------------------------
 # The Witt key
 
 
@@ -296,6 +234,162 @@ def _witt_key(ctx: FieldCtx, eps: int, entries):
 
 
 # ---------------------------------------------------------------------------
+# The extended square-class group S^
+
+
+def _norm_class(ctx: FieldCtx, factors):
+    """(key, representative) of the product of the nonzero factors modulo
+    the norm subgroup N = {y^J y}; the key is complete and hashable.
+
+      * Q         -- the sign and the primes of odd exponent;
+      * F_p       -- the Legendre symbol;
+      * F_{p^2}   -- N = F_p^*: b/a of the product a + b w, None if a = 0;
+      * Q(sqrt d) -- the product is lam (t + sqrt d), or lam with t None
+                     when it is rational.  The norms are the similarity
+                     factors of <1, -d>, so lam modulo norms is fixed by
+                     the rational key of the trace form <lam, -d lam>.
+
+    Rational factors enter only through their square classes; only the
+    non-rational factors over Q(sqrt d) are multiplied out.
+    """
+    if ctx.kind == "Fp":
+        if legendre(math.prod(f.v for f in factors), ctx.p) == 1:
+            return 1, ctx.one()
+        return -1, ctx.from_int(ctx._least_nonresidue(ctx.p))
+    if ctx.kind == "Fp2":
+        prod = math.prod(factors, start=ctx.one())
+        if prod.a == 0:
+            return None, ctx.generator()
+        ratio = prod.b * pow(prod.a, ctx.p - 2, ctx.p) % ctx.p
+        return ratio, Fp2Elt(ctx.p, ctx.nu, 1, ratio)
+    t, rational = None, factors
+    if ctx.kind == "QSqrt":
+        prod = math.prod((f for f in factors if f.b), start=ctx.one())
+        t = prod.a / prod.b if prod.b else None
+        rational = [f.a for f in factors if not f.b] + [prod.b or prod.a]
+    sign, odd = 1, frozenset()
+    for q in rational:
+        s, primes = _square_class(q)
+        sign *= s
+        odd ^= primes  # odd exponents cancel in pairs
+    lam = sign * math.prod(odd)
+    if ctx.kind == "Q":
+        return (sign, odd), Fraction(lam)
+    sign_d, primes_d = _square_class(-ctx.d)
+    key = _rational_key([(sign, odd), (sign * sign_d, odd ^ primes_d)])
+    if t is None:
+        return (None, key), QuadElt(ctx.d, lam, 0)
+    return (t, key), QuadElt(ctx.d, lam * t, lam)
+
+
+class NormClassRep:
+    """A class modulo the norm subgroup N = {y^J y}, the S^ counterpart of
+    ``WittClass``: it holds its scalar factors unmultiplied, ``*``
+    concatenates them, and ``_norm_class``, computed once, decides
+    equality, triviality and hashing and gives the representative."""
+
+    __slots__ = ("ctx", "factors", "_class_cache")
+
+    def __init__(self, ctx: FieldCtx, factors):
+        factors = tuple(factors)
+        if not all(factors):
+            raise ZeroScalar("norm class of 0 is undefined")
+        self.ctx = ctx
+        self.factors = factors
+        self._class_cache = None
+
+    def _class(self):
+        if self._class_cache is None:
+            self._class_cache = _norm_class(self.ctx, self.factors)
+        return self._class_cache
+
+    @property
+    def rep(self):
+        return self._class()[1]
+
+    def is_trivial(self) -> bool:
+        return self._class()[0] == _norm_class(self.ctx, ())[0]
+
+    def __mul__(self, other):
+        if self.ctx != other.ctx:
+            raise ContextMismatch("norm classes from different fields")
+        return NormClassRep(self.ctx, self.factors + other.factors)
+
+    def __eq__(self, other):
+        if not isinstance(other, NormClassRep) or self.ctx != other.ctx:
+            return NotImplemented
+        return self._class()[0] == other._class()[0]
+
+    def __hash__(self):
+        return hash((self.ctx, self._class()[0]))
+
+    def __repr__(self):
+        return f"NormClass({self.rep!r})"
+
+
+class SHatElement:
+    """Extended square class (s, +-1) with the twisted group law
+
+        (x, (-1)^m) + (y, (-1)^n) = (x y (-1)^{mn}, (-1)^{m+n}).
+    """
+
+    __slots__ = ("ctx", "s", "sign")
+
+    def __init__(self, ctx: FieldCtx, s, sign: int):
+        if sign not in (1, -1):
+            raise ValidationError("sign must be +1 or -1")
+        if not isinstance(s, NormClassRep):
+            s = NormClassRep(ctx, (s,))
+        self.ctx = ctx
+        self.s = s
+        self.sign = sign
+
+    @staticmethod
+    def identity(ctx):
+        return SHatElement(ctx, NormClassRep(ctx, ()), 1)
+
+    def __add__(self, other):
+        if self.ctx != other.ctx:
+            raise ContextMismatch("S^ elements over different fields")
+        twist = (-self.ctx.one(),) if self.sign == other.sign == -1 else ()
+        s = NormClassRep(self.ctx, self.s.factors + other.s.factors + twist)
+        return SHatElement(self.ctx, s, self.sign * other.sign)
+
+    def neg(self):
+        one = self.ctx.one()
+        factors = tuple(one / f for f in self.s.factors)
+        if self.sign == -1:
+            factors += (-one,)
+        return SHatElement(self.ctx, NormClassRep(self.ctx, factors),
+                           self.sign)
+
+    def __sub__(self, other):
+        return self + other.neg()
+
+    def is_identity(self) -> bool:
+        return self.sign == 1 and self.s.is_trivial()
+
+    def __eq__(self, other):
+        if not isinstance(other, SHatElement):
+            return NotImplemented
+        return self.sign == other.sign and self.s == other.s
+
+    def __hash__(self):
+        return hash((self.ctx, self.sign, self.s))
+
+    def to_json(self):
+        rep = self.s.rep
+        if self.ctx.kind == "Q":
+            srep = str(rep)
+        else:
+            srep = self.ctx.scalar_to_json(rep)
+        return {"s": srep, "sign": self.sign}
+
+    def __repr__(self):
+        return f"({self.s.rep!r}, {self.sign:+d})"
+
+
+# ---------------------------------------------------------------------------
 # Witt classes
 
 
@@ -305,8 +399,6 @@ def _normalize_entry(ctx, e):
     if ctx.kind == "Q" and e:
         return Fraction(squarefree_part(e))
     if ctx.kind == "QSqrt" and e and e.b == 0:
-        from .fields import QuadElt
-
         return QuadElt(ctx.d, squarefree_part(e.a), 0)
     return e
 
@@ -363,12 +455,6 @@ class WittClass:
             return trace_transfer(self).signature()
         raise ValidationError("signature needs a characteristic-0 field")
 
-    def det(self):
-        out = self.ctx.one()
-        for e in self.diag:
-            out = out * e
-        return out
-
     # -- group structure ---------------------------------------------------
 
     def neg(self):
@@ -398,13 +484,13 @@ class WittClass:
     # -- invariants --------------------------------------------------------
 
     def signed_disc(self) -> SHatElement:
-        if not self.diag:
-            return SHatElement.identity(self.ctx)
+        """(det (-1)^{n(n-1)/2} N, (-1)^n); the entries stay unmultiplied."""
         n = len(self.diag)
-        s = self.det()
+        factors = self.diag
         if (n * (n - 1) // 2) % 2:
-            s = -s
-        return SHatElement(self.ctx, s, (-1) ** n)
+            factors += (-self.ctx.one(),)
+        return SHatElement(self.ctx, NormClassRep(self.ctx, factors),
+                           (-1) ** n)
 
     def in_II(self) -> bool:
         return self.signed_disc().is_identity()

@@ -7,13 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from maslov import cli
+from maslov import cli, errors
 
 RUN = [sys.executable, "-m", "maslov.cli"]
 
 
 def invoke(*argv):
-    proc = subprocess.run(RUN + list(argv), capture_output=True, text=True)
+    # a job that hangs fails its test instead of stalling the suite
+    proc = subprocess.run(RUN + list(argv), capture_output=True, text=True,
+                          timeout=120)
     return proc
 
 
@@ -59,6 +61,21 @@ def test_witt_and_disc_commands():
     assert rep["outputs"]["witt"]["signature"] == 2
     rep = report_of(invoke("disc", "--input", job))
     assert rep["outputs"]["disc"] == {"s": "-1", "sign": 1}
+    # 2^61 - 1 and 2^89 - 1 are prime; the product of the entries is never
+    # factored
+    big, bigger = 2 ** 61 - 1, 2 ** 89 - 1
+    job = json.dumps({"matrix": [[str(big), "0"], ["0", str(bigger)]]})
+    s = str(-big * bigger)
+    for field, disc in (('{"kind":"Q"}', s),
+                        ('{"kind":"QSqrt","d":-1}', [s, "0"])):
+        proc = invoke("disc", "--field", field, "--input", job)
+        assert proc.returncode == 0
+        assert report_of(proc)["outputs"]["disc"] == {"s": disc, "sign": 1}
+        proc = invoke("witt", "--field", field, "--input", job)
+        assert proc.returncode == 0
+        witt = report_of(proc)["outputs"]["witt"]
+        assert witt["disc"] == {"s": disc, "sign": 1}
+        assert witt["in_II"] is False
 
 
 def test_lagrangians_command():
@@ -105,6 +122,32 @@ def test_compare_command_non_generic_pair():
     proc = invoke("compare", "--input", json.dumps(inputs))
     assert proc.returncode == 2
     assert report_of(proc)["error"] == "NonGeneric"
+
+
+@pytest.mark.parametrize("field", ['{"kind":"Fp2","p":3}',
+                                   '{"kind":"QSqrt","d":-1}',
+                                   '{"kind":"Fp","p":5,"epsilon":-1}'])
+def test_compare_outside_the_symplectic_case_exits_2(field):
+    # only NonGeneric draws are resampled; every other error is reported
+    proc = invoke("compare", "--field", field, "--trials", "3")
+    assert proc.returncode == 2
+    assert issubclass(getattr(errors, report_of(proc)["error"]),
+                      errors.MaslovError)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("command, field", [
+    ("boundary-check", '{"kind":"Q","epsilon":-1}'),
+    ("disc-defect-check", '{"kind":"Fp","p":5,"epsilon":-1}'),
+    ("reduced-check", '{"kind":"Fp","p":5,"epsilon":-1}'),
+])
+def test_odd_rank_orthogonal_sampling_exits_2(command, field, n):
+    # with a trivial involution and epsilon = -1 every epsilon-hermitian
+    # matrix is alternating, so none of odd size is invertible
+    proc = invoke(command, "--field", field, "--input", json.dumps({"n": n}),
+                  "--trials", "3")
+    assert proc.returncode == 2
+    assert report_of(proc)["error"] == "NotFound"
 
 
 def test_steinberg_check_exhaustive():

@@ -9,7 +9,6 @@ from maslov.errors import ValidationError, ZeroScalar
 from maslov.fields import (
     FieldCtx,
     norm_subgroup_class,
-    rational_is_norm,
     squarefree_part,
 )
 
@@ -86,9 +85,8 @@ def test_norm_class_examples():
     # oracle: 5 = 1^2 + 2^2 is a norm from Q(i)
     assert any(a * a + b * b == 5 for a in range(4) for b in range(4))
     assert norm_subgroup_class(qi, qi.from_int(5)).is_trivial()
-    assert rational_is_norm(-1, 5)
-    assert not rational_is_norm(-1, 3)
-    assert not rational_is_norm(-1, -5)
+    assert not norm_subgroup_class(qi, qi.from_int(3)).is_trivial()
+    assert not norm_subgroup_class(qi, qi.from_int(-5)).is_trivial()
 
 
 def test_norm_class_zero_rejected():

@@ -8,10 +8,17 @@ from fractions import Fraction
 import pytest
 
 from maslov.errors import ContextMismatch, DegenerateInput, ZeroInput
-from maslov.fields import INF, FieldCtx, rational_is_norm
+from maslov.fields import (
+    INF,
+    FieldCtx,
+    legendre,
+    norm_subgroup_class,
+    squarefree_part,
+)
 from maslov.forms import FormMatrix, is_isometric
 from maslov.sampling import random_hermitian_invertible, rng_for
 from maslov.witt import (
+    NormClassRep,
     SHatElement,
     WittClass,
     hilbert_symbol,
@@ -383,11 +390,70 @@ def test_key_matches_hasse_minkowski_over_quadratic_fields(d):
         assert equal == _hasse_minkowski_zero(trace), (d, a, b)
         outcomes.add(equal)
     assert outcomes == {True, False}
-    for _ in range(60):
-        q = _random_rational(rng)
-        by_symbols = all(hilbert_symbol(d, q, pl) == 1
-                         for pl in relevant_places([d, q]))
-        assert rational_is_norm(d, q) == by_symbols, (d, q)
+
+
+def _same_norm_class_oracle(ctx, ratio):
+    if ctx.kind == "Q":
+        return squarefree_part(ratio) == 1
+    if ctx.kind == "Fp":
+        return legendre(ratio.v, ctx.p) == 1
+    if ctx.kind == "Fp2":
+        return ratio == ctx.involution(ratio)
+    # Q(sqrt d): the ratio is a rational norm, by Hilbert symbols
+    return ratio.b == 0 and all(
+        hilbert_symbol(ctx.d, ratio.a, pl) == 1
+        for pl in relevant_places([ctx.d, ratio.a]))
+
+
+def _random_factor(ctx, rng, rational=False):
+    if not ctx.is_finite and (rational or rng.random() < 0.5):
+        return ctx.from_rational(_random_rational(rng))
+    return ctx.random_nonzero(rng)
+
+
+def _random_factor_pair(ctx, rng):
+    """Two lists of 1 to 3 factors: q against 1, for a rational q (any
+    scalar over a finite field) or over Q(sqrt d) also q sqrt d; unrelated
+    lists; or the second obtained from the first by norm factors and
+    reordering, sometimes times a further factor."""
+    if rng.random() < 0.3:
+        q = _random_factor(ctx, rng, rational=True)
+        if ctx.kind == "QSqrt" and rng.random() < 0.3:
+            q *= ctx.generator()
+        return [q], [ctx.one()]
+    a = [_random_factor(ctx, rng) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        return a, [_random_factor(ctx, rng) for _ in range(rng.randint(1, 3))]
+    b = list(a)
+    y = ctx.random_nonzero(rng)
+    b[rng.randrange(len(b))] *= ctx.involution(y) * y
+    if len(b) < 3 and rng.random() < 0.5:
+        y = ctx.random_nonzero(rng)
+        b.append(ctx.involution(y) * y)
+    if rng.random() < 0.3:
+        b[-1] *= _random_factor(ctx, rng)  # usually a different class
+    rng.shuffle(b)
+    return a, b
+
+
+@pytest.mark.parametrize("ctx", [Q, F3, F5, F9, FieldCtx("Fp2", p=5)]
+                         + [FieldCtx("QSqrt", d=d)
+                            for d in (-7, -5, -3, -2, -1, 2, 3, 5, 6, 10)],
+                         ids=repr)
+def test_norm_class_matches_oracles(ctx):
+    rng = random.Random(f"norm class {ctx!r}")
+    outcomes = set()
+    for _ in range(150):
+        a, b = _random_factor_pair(ctx, rng)
+        ratio = ctx.one()
+        for x in a:
+            ratio *= x
+        for y in b:
+            ratio /= y
+        equal = NormClassRep(ctx, a) == NormClassRep(ctx, b)
+        assert equal == _same_norm_class_oracle(ctx, ratio), (a, b)
+        outcomes.add(equal)
+    assert outcomes == {True, False}
 
 
 def _gl(ctx, n):
@@ -442,11 +508,25 @@ def test_equal_classes_hash_equal(ctx):
                                         eps=1)
         c = witt_class(f)
         classes += [c, c + witt_class(f.direct_sum(f.neg()))]
-    for a in classes:
-        for b in classes:
-            if a == b:
-                assert hash(a) == hash(b)
-    assert len({hash(c) for c in classes}) > 1
+    discs = [c.signed_disc() for c in classes]
+    for values in (classes, discs):
+        for a in values:
+            for b in values:
+                if a == b:
+                    assert hash(a) == hash(b)
+        assert len({hash(v) for v in values}) > 1
+    if ctx == QI:
+        # a rational is a norm from Q(i) iff it is positive and every prime
+        # = 3 mod 4 has even exponent: the classes of 1..30 are those of
+        # 1, 3, 7, 11, 19, 23 and 21
+        norms = [norm_subgroup_class(ctx, ctx.from_int(k))
+                 for k in range(1, 31)]
+        distinct = []
+        for x in norms:
+            if not any(x == y for y in distinct):
+                distinct.append(x)
+        assert len(distinct) == 7
+        assert len({hash(x) for x in norms}) == 7
 
 
 def test_no_product_of_entries_is_factored(monkeypatch):
@@ -472,3 +552,10 @@ def test_no_product_of_entries_is_factored(monkeypatch):
         assert cls(big) != cls(bigger)
         assert not (cls(big, bigger) + cls(big)).is_zero()
         assert hash(a) == hash(b)
+        assert a.signed_disc() == b.signed_disc()
+        assert hash(a.signed_disc()) == hash(b.signed_disc())
+        assert not a.in_II()
+        assert a.to_json()["disc"] == b.to_json()["disc"]
+        da, db = cls(big).signed_disc(), cls(bigger).signed_disc()
+        assert da + db == cls(big, bigger).signed_disc()
+        assert da - db != (da + db)
