@@ -15,12 +15,12 @@ from .lagrange import (
     BasedLagrangian,
     HyperbolicSpace,
     Lagrangian,
+    PairFrame,
     UnitaryElement,
     common_opposite,
     ell_a,
     enumerate_lagrangians,
     holonomy,
-    holonomy_reverse,
     is_opposite,
     kappa,
     standardize_pair,

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 from .errors import MaslovError, NonGeneric, ParseError
 from .fields import INF, FieldCtx
@@ -80,7 +81,9 @@ def _space(ctx, inputs) -> HyperbolicSpace:
     n = inputs.get("n")
     if n is None:
         raise ParseError("input needs the rank 'n'")
-    return HyperbolicSpace(ctx, int(n))
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParseError("the rank 'n' must be an integer")
+    return HyperbolicSpace(ctx, n)
 
 
 def _witt_output(cls):
@@ -140,9 +143,13 @@ def cmd_disc(ctx, inputs, args):
 
 
 def cmd_hilbert(ctx, inputs, args):
-    place = inputs["place"]
-    place = INF if place in (INF, "oo") else int(place)
-    val = hilbert_symbol(inputs["a"], inputs["b"], place)
+    try:
+        a, b = Fraction(inputs["a"]), Fraction(inputs["b"])
+        place = inputs["place"]
+        place = INF if place in (INF, "oo") else int(place)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad Hilbert-symbol input: {exc}") from exc
+    val = hilbert_symbol(a, b, place)
     return {"symbol": val}, []
 
 
@@ -306,6 +313,8 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        if args.trials < 0:
+            raise ParseError("--trials must be non-negative")
         field_spec = args.field
         if args.p is not None:
             field_spec = json.dumps({"kind": "Fp", "p": args.p})
@@ -318,6 +327,8 @@ def run(argv=None) -> int:
             inputs = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad input JSON: {exc}") from exc
+        if not isinstance(inputs, dict):
+            raise ParseError("input JSON must be an object")
         if args.n is not None:
             inputs.setdefault("n", args.n)
         outputs, checks = COMMANDS[args.command](ctx, inputs, args)

@@ -24,13 +24,13 @@ from .lagrange import (
     BasedLagrangian,
     HyperbolicSpace,
     Lagrangian,
+    PairFrame,
     UnitaryElement,
     check_pairwise_opposite,
     ell_a,
     enumerate_lagrangians,
     is_opposite,
     kappa,
-    standardize_pair,
     u_t,
     w_element,
 )
@@ -137,21 +137,17 @@ def tau(g: UnitaryElement, h: UnitaryElement,
 # Based cochains and the reduction
 
 
-def _edge_witnesses(v: BasedLagrangian, w: BasedLagrangian):
-    """Base-change witnesses (a, b) of a directed opposite based edge
-    relative to a standardized frame of the underlying pair.
+def _edge_det(v: BasedLagrangian, w: BasedLagrangian):
+    """det(-a b^J) for the base-change witnesses (a, b) of a directed
+    opposite based edge, read in the frame of the underlying pair.
 
     The frame ambiguity is a Levi element, which changes (a, b) by
-    (l a, l^{-J} b); every consumer below only uses invariants of that
-    action.
+    (l a, l^{-J} b) and leaves the determinant unchanged.
     """
-    g = standardize_pair(v.lagrangian, w.lagrangian)
-    n = v.space.n
-    av = g.mat * v.basis
-    bw = g.mat * w.basis
-    a = av.row_block(0, n)
-    b = bw.row_block(n, 2 * n)
-    return a, b
+    frame = PairFrame(v.lagrangian, w.lagrangian)
+    a = frame.top * v.basis
+    b = frame.bot * w.basis
+    return (-(a * b.jt())).det()
 
 
 def based_cochain_f(v: BasedLagrangian, w: BasedLagrangian) -> SHatElement:
@@ -160,8 +156,7 @@ def based_cochain_f(v: BasedLagrangian, w: BasedLagrangian) -> SHatElement:
     reversed edge is the inverse."""
     ctx = v.space.ctx
     n = v.space.n
-    a, b = _edge_witnesses(v, w)
-    s = (-(a * b.jt())).det()
+    s = _edge_det(v, w)
     if (n * (n - 1) // 2) % 2:
         s = -s
     return SHatElement(ctx, s, (-1) ** n)
@@ -171,10 +166,8 @@ def _edge_det_form(v: BasedLagrangian, w: BasedLagrangian) -> WittClass:
     # the Witt-group lift <det(-a b^J), 1, ..., 1> of the edge cochain
     ctx = v.space.ctx
     n = v.space.n
-    a, b = _edge_witnesses(v, w)
-    s = (-(a * b.jt())).det()
     return witt_class(FormMatrix.diagonal(
-        ctx, [s] + [ctx.one()] * (n - 1), 1))
+        ctx, [_edge_det(v, w)] + [ctx.one()] * (n - 1), 1))
 
 
 @dataclass(frozen=True)
@@ -214,15 +207,11 @@ class BasedTriple:
     def witnesses(self):
         """Base-change witnesses (a, b, c) and the translation block t,
         read off in the frame standardizing the first two Lagrangians."""
-        space = self.v0.space
-        n = space.n
-        g = standardize_pair(self.v0.lagrangian, self.v1.lagrangian)
-        a = (g.mat * self.v0.basis).row_block(0, n)
-        b = (g.mat * self.v1.basis).row_block(n, 2 * n)
-        w = g.mat * self.v2.basis
-        c = w.row_block(n, 2 * n)
-        t = w.row_block(0, n) * c.inverse()
-        return a, b, c, FormMatrix(space.ctx, t, space.ctx.epsilon)
+        frame = PairFrame(self.v0.lagrangian, self.v1.lagrangian)
+        a = frame.top * self.v0.basis
+        b = frame.bot * self.v1.basis
+        c = frame.bot * self.v2.basis
+        return a, b, c, frame.kappa(self.v2.lagrangian)
 
 
 def disc_defect(bt: BasedTriple) -> SHatElement:
@@ -298,6 +287,8 @@ def orbit_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
     the isometry class of the invariant, with a breadth-first check that
     every class fiber is one orbit of the generated unitary group."""
     ctx = space.ctx
+    if space.n > 2:
+        raise TooLarge("census is implemented for rank <= 2")
     lags = enumerate_lagrangians(space)
     count = len(lags)
     index = {lag: i for i, lag in enumerate(lags)}
@@ -309,16 +300,19 @@ def orbit_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
             opp[i][j] = o
             opp[j][i] = o
 
-    triples = [
-        (i, j, k)
-        for i in range(count)
-        for j in range(count)
-        if opp[i][j]
-        for k in range(count)
-        if opp[i][k] and opp[j][k]
-    ]
-    if len(triples) > limit:
-        raise TooLarge(f"{len(triples)} triples exceed the limit {limit}")
+    # the triples grouped by ordered pair: (i, j, [k, ...]); past the
+    # limit they are only counted
+    pairs = []
+    total = 0
+    for i in range(count):
+        for j in range(count):
+            if opp[i][j]:
+                ks = [k for k in range(count) if opp[i][k] and opp[j][k]]
+                total += len(ks)
+                if total <= limit:
+                    pairs.append((i, j, ks))
+    if total > limit:
+        raise TooLarge(f"{total} triples exceed the limit {limit}")
 
     # generators as permutations of the Lagrangian list
     gens = [u_t(space, t) for t in _hermitian_additive_basis(ctx, space.n)]
@@ -332,10 +326,7 @@ def orbit_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
             invertibles.append(Matrix(ctx, [[x, zero], [zero, one]]))
             invertibles.append(Matrix(ctx, [[one, x], [zero, one]]))
             invertibles.append(Matrix(ctx, [[one, zero], [x, one]]))
-        if space.n == 2:
-            gens += [ell_a(space, a) for a in invertibles]
-        else:
-            raise TooLarge("census is implemented for rank <= 2")
+        gens += [ell_a(space, a) for a in invertibles]
     gens.append(w_element(space))
     if ctx.has_trivial_involution and ctx.epsilon == -1:
         # orthogonal case: every generator above has determinant 1; the
@@ -348,9 +339,11 @@ def orbit_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
         perms.append([index[g(lag)] for lag in lags])
 
     fibers: dict = {}
-    for tri in triples:
-        key = isometry_key(kappa(lags[tri[0]], lags[tri[1]], lags[tri[2]]))
-        fibers.setdefault(key, set()).add(tri)
+    for i, j, ks in pairs:
+        frame = PairFrame(lags[i], lags[j])
+        for k in ks:
+            key = isometry_key(frame.kappa(lags[k]))
+            fibers.setdefault(key, set()).add((i, j, k))
 
     classes = {}
     all_orbits = True
@@ -370,4 +363,4 @@ def orbit_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
         if seen != fiber:
             all_orbits = False
         classes[key] = len(fiber)
-    return CensusResult(classes, len(triples), all_orbits)
+    return CensusResult(classes, total, all_orbits)

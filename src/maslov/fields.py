@@ -396,8 +396,10 @@ class FieldCtx:
 
     def __init__(self, kind: str, p: int | None = None, d: int | None = None,
                  epsilon: int = 1):
-        if epsilon not in (1, -1):
+        if not isinstance(epsilon, int) or epsilon not in (1, -1):
             raise ValidationError("epsilon must be +1 or -1")
+        if not all(v is None or isinstance(v, int) for v in (p, d)):
+            raise ValidationError("p and d must be integers")
         self.kind = kind
         self.p = p
         self.d = d

@@ -221,8 +221,10 @@ def _check_space(*lags):
 
 
 def is_opposite(x: Lagrangian, y: Lagrangian) -> bool:
-    _check_space(x, y)
-    return x.basis.hstack(y.basis).is_invertible()
+    """x and y meet in 0.  Each Lagrangian is its own orthogonal, so this
+    holds exactly when the pairing h(y, x) is nondegenerate."""
+    space = _check_space(x, y)
+    return space.pairing(y.basis, x.basis).is_invertible()
 
 
 def check_pairwise_opposite(*lags):
@@ -326,19 +328,52 @@ def common_opposite(lags, rng=None, max_tries: int = 4000) -> Lagrangian:
 # Standardization and the invariant
 
 
-def standardize_pair(x: Lagrangian, y: Lagrangian) -> UnitaryElement:
-    """A unitary g with g(x) = standard X and g(y) = standard Y.
+class PairFrame:
+    """Coordinates relative to an opposite pair (x, y).
 
-    Built from a basis b of x and the h-dual basis c of y, so that the
-    juxtaposition [b | c] has Gram matrix equal to the standard one.
+    With b the canonical basis of x and c the basis of y h-dual to it
+    (h(c, b) = 1), the frame F = [b | c] has the standard Gram matrix G.
+    So F^{-1} needs no elimination: its row blocks are the coordinate
+    maps top = h(c, .) = c^J G and bot = -eps h(b, .) = -eps b^J G.
     """
-    space = _check_space(x, y)
-    b = x.canonical
-    s = space.pairing(y.basis, b)
-    if not s.is_invertible():
-        raise NotOpposite("the Lagrangians are not opposite")
-    c = y.basis * s.jt().inverse()
-    return UnitaryElement(space, b.hstack(c).inverse())
+
+    __slots__ = ("space", "top", "bot", "inverse")
+
+    def __init__(self, x: Lagrangian, y: Lagrangian):
+        space = _check_space(x, y)
+        ctx = space.ctx
+        b = x.canonical
+        s = space.pairing(y.basis, b)
+        if not s.is_invertible():
+            raise NotOpposite("the Lagrangians are not opposite")
+        c = y.basis * s.jt().inverse()
+        self.space = space
+        self.top = c.jt() * space.gram
+        self.bot = (b.jt() * space.gram).scale(ctx.from_int(-ctx.epsilon))
+        self.inverse = Matrix(ctx, self.top.rows + self.bot.rows)
+        if self.inverse * b.hstack(c) != Matrix.identity(ctx, space.dim):
+            raise ValidationError("frame coordinates do not invert the frame")
+
+    def kappa(self, z: Lagrangian) -> FormMatrix:
+        """The invariant t of (x, y, z): z in this frame is the graph of t."""
+        if z.space != self.space:
+            raise SpaceMismatch("Lagrangians from different spaces")
+        bot = self.bot * z.basis
+        if not bot.is_invertible():
+            raise NotPairwiseOpposite(
+                "third Lagrangian is not opposite the first")
+        t = self.top * z.basis * bot.inverse()
+        if not t.is_invertible():
+            raise NotPairwiseOpposite(
+                "third Lagrangian is not opposite the second")
+        return FormMatrix(self.space.ctx, t, self.space.ctx.epsilon)
+
+
+def standardize_pair(x: Lagrangian, y: Lagrangian) -> UnitaryElement:
+    """A unitary g with g(x) = standard X and g(y) = standard Y: the
+    inverse of the frame of the pair."""
+    frame = PairFrame(x, y)
+    return UnitaryElement(frame.space, frame.inverse)
 
 
 def kappa(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> FormMatrix:
@@ -348,38 +383,19 @@ def kappa(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> FormMatrix:
     invertible eps-hermitian matrix t, returned here; its congruence
     class is independent of all basis choices.
     """
-    space = _check_space(x, y, z)
-    n = space.n
     try:
-        g = standardize_pair(x, y)
+        frame = PairFrame(x, y)
     except NotOpposite as exc:
         raise NotPairwiseOpposite(str(exc)) from exc
-    w = g.mat * z.basis
-    bot = w.row_block(n, 2 * n)
-    if not bot.is_invertible():
-        raise NotPairwiseOpposite("third Lagrangian is not opposite the first")
-    t = w.row_block(0, n) * bot.inverse()
-    if not t.is_invertible():
-        raise NotPairwiseOpposite(
-            "third Lagrangian is not opposite the second")
-    return FormMatrix(space.ctx, t, space.ctx.epsilon)
+    return frame.kappa(z)
 
 
 def holonomy(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> Matrix:
     """Matrix of the closed length-3 path around the triple, written in the
-    graded frame fixed by standardize_pair(x, y): [[0, -t^{-1}], [t, 0]]."""
+    graded frame of the pair (x, y): [[0, -t^{-1}], [t, 0]].  The reversed
+    path is its negative, which is also its inverse."""
     t = kappa(x, y, z).mat
     ctx = x.space.ctx
     n = x.space.n
     zero = Matrix.zeros(ctx, n, n)
     return Matrix.block2(zero, -t.inverse(), t, zero)
-
-
-def holonomy_reverse(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> Matrix:
-    """Matrix of the reversed path in the same frame; the product with
-    holonomy(x, y, z) is the identity."""
-    t = kappa(x, y, z).mat
-    ctx = x.space.ctx
-    n = x.space.n
-    zero = Matrix.zeros(ctx, n, n)
-    return Matrix.block2(zero, t.inverse(), -t, zero)

@@ -77,14 +77,6 @@ class Matrix:
                              for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def from_cols(ctx, cols):
-        cols = [list(c) for c in cols]
-        if not cols:
-            return Matrix(ctx, [])
-        return Matrix(ctx, [[cols[j][i] for j in range(len(cols))]
-                            for i in range(len(cols[0]))])
-
-    @staticmethod
     def block2(a, b, c, d):
         """Assemble [[a, b], [c, d]] from four compatible blocks."""
         ctx = a.ctx
@@ -105,9 +97,6 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def row_block(self, lo, hi):
-        return Matrix(self.ctx, self.rows[lo:hi])
 
     # -- arithmetic -----------------------------------------------------
 

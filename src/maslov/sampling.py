@@ -98,7 +98,7 @@ def random_opposite_quadruple(space: HyperbolicSpace, rng, max_tries=200):
         g = random_unitary(space, rng)
         return (g(x0), g(y0), (g * u_t(space, t))(y0),
                 (g * u_t(space, tp))(y0))
-    raise RuntimeError("quadruple sampling exhausted its tries")
+    raise NotFound("quadruple sampling exhausted its tries")
 
 
 def random_based_triple(space: HyperbolicSpace, rng):

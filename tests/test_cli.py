@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,13 @@ def test_census_command():
     assert rep["outputs"]["classes"] == 2
     assert rep["outputs"]["orbit_sizes"] == [12, 12]
     assert rep["pass"] is True
+    # rank 3 is refused before any Lagrangian is enumerated
+    started = time.monotonic()
+    proc = invoke("census", "--field", '{"kind":"Fp","p":3}',
+                  "--input", '{"n":3}')
+    assert time.monotonic() - started < 5
+    assert proc.returncode == 2
+    assert report_of(proc)["error"] == "TooLarge"
 
 
 def test_kappa_command():
@@ -159,10 +167,26 @@ def test_steinberg_check_exhaustive():
 
 
 def test_parse_error_exit_code():
-    proc = invoke("witt", "--input", "{not json")
-    assert proc.returncode == 2
-    rep = report_of(proc)
-    assert rep["error"] == "ParseError"
+    # malformed input: exit 2 with a named error and no traceback
+    for argv, error in [
+        (("witt", "--input", "{not json"), "ParseError"),
+        (("kappa", "--input", '{"n":"abc"}'), "ParseError"),
+        (("kappa", "--input", "[1]"), "ParseError"),
+        (("witt", "--field", '{"kind":"Fp","p":"5"}', "--input",
+          '{"matrix":[["1"]]}'), "ValidationError"),
+        (("witt", "--field", '{"kind":"Fp","p":5,"epsilon":1.0}',
+          "--input", '{"matrix":[["1"]]}'), "ValidationError"),
+        (("hilbert", "--input", '{"a":"2","b":"3","place":"x"}'),
+         "ParseError"),
+        (("boundary-check", "--field", '{"kind":"Fp","p":5}', "--input",
+          '{"n":1}', "--trials", "-3"), "ParseError"),
+        (("steinberg-check", "--field", '{"kind":"Fp","p":5}',
+          "--trials", "-1"), "ParseError"),
+    ]:
+        proc = invoke(*argv)
+        assert proc.returncode == 2
+        assert report_of(proc)["error"] == error
+        assert "Traceback" not in proc.stderr
 
 
 def test_precondition_error_surfaced():

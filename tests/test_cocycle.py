@@ -7,7 +7,9 @@ import pytest
 from maslov.errors import (
     ConstraintViolated,
     NonGeneric,
+    NotFound,
     NotPairwiseOpposite,
+    TooLarge,
     WrongContext,
 )
 from maslov.fields import FieldCtx
@@ -91,6 +93,12 @@ def test_boundary_defect_random(ctx, n):
     for trial in range(25):
         quad = random_opposite_quadruple(sp, rng_for(73, trial))
         assert boundary_defect(*quad).is_zero()
+
+
+def test_quadruple_sampling_exhaustion_is_not_found():
+    with pytest.raises(NotFound):
+        random_opposite_quadruple(HyperbolicSpace(Q, 1), rng_for(73, 0),
+                                  max_tries=0)
 
 
 def test_relation_check_examples():
@@ -377,6 +385,11 @@ def test_census_f3():
     assert res.sizes() == [12, 12]
     assert res.total == 24
     assert res.fibers_are_orbits
+    # the limit is enforced on the exact count of triples
+    with pytest.raises(TooLarge, match="^24 triples exceed the limit 23$"):
+        orbit_census(HyperbolicSpace(F3, 1), limit=23)
+    with pytest.raises(TooLarge, match="rank <= 2"):
+        orbit_census(HyperbolicSpace(F3, 3))
 
 
 def test_census_f5():

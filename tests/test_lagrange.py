@@ -22,7 +22,6 @@ from maslov.lagrange import (
     ell_a,
     enumerate_lagrangians,
     holonomy,
-    holonomy_reverse,
     is_opposite,
     kappa,
     standardize_pair,
@@ -44,6 +43,8 @@ F3 = FieldCtx("Fp", p=3)
 F5 = FieldCtx("Fp", p=5)
 F9 = FieldCtx("Fp2", p=3)
 QI = FieldCtx("QSqrt", d=-1)
+SKEW = [FieldCtx("Q", epsilon=-1), FieldCtx("Fp", p=5, epsilon=-1),
+        FieldCtx("Fp2", p=3, epsilon=-1), FieldCtx("QSqrt", d=-1, epsilon=-1)]
 
 
 def diag_form(ctx, entries, eps=1):
@@ -116,6 +117,27 @@ def test_opposite_examples():
     assert is_opposite(u_t(sp, t_inv)(y), y)
     assert not is_opposite(u_t(sp, t_sing)(y), y)
     assert is_opposite(u_t(sp, t_sing)(y), x)
+    # the oracle: x and y are opposite when [x | y] has full rank 2n
+    for ctx, n in ((F3, 2), (F9, 1), (FieldCtx("Fp", p=5, epsilon=-1), 2)):
+        _agrees_with_juxtaposition(
+            enumerate_lagrangians(HyperbolicSpace(ctx, n)))
+    for ctx in (Q, QI):
+        sp = HyperbolicSpace(ctx, 2)
+        x0, y0 = sp.standard_pair()
+        for trial in range(10):
+            rng = rng_for(79, trial)
+            g = random_unitary(sp, rng)
+            t = random_hermitian(ctx, 2, rng)
+            v = Matrix(ctx, [[ctx.random_element(rng, 3)] for _ in range(2)])
+            # v v^J has rank at most 1, so its graph meets Y
+            lags = [x0, y0, u_t(sp, t)(y0), u_t(sp, v * v.jt())(y0)]
+            _agrees_with_juxtaposition([g(lag) for lag in lags])
+
+
+def _agrees_with_juxtaposition(lags):
+    for x, y in itertools.product(lags, repeat=2):
+        full = x.basis.hstack(y.basis).rank() == 2 * x.space.n
+        assert is_opposite(x, y) == full
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +209,7 @@ def test_common_opposite_not_found():
 # standardization
 
 
-@pytest.mark.parametrize("ctx", [Q, F5, F9, QI], ids=repr)
+@pytest.mark.parametrize("ctx", [Q, F5, F9, QI] + SKEW, ids=repr)
 def test_standardize_pair_properties(ctx):
     sp = HyperbolicSpace(ctx, 2)
     x0, y0 = sp.standard_pair()
@@ -198,6 +220,16 @@ def test_standardize_pair_properties(ctx):
         g = standardize_pair(x, y)
         assert g(x) == x0
         assert g(y) == y0
+        # the oracle: the Gauss-Jordan inverse of the frame [b | c]
+        b = x.canonical
+        c = y.basis * sp.pairing(y.basis, b).jt().inverse()
+        assert g.mat == b.hstack(c).inverse()
+        # kappa is the graph block of z once (x, y) is standardized
+        t = random_hermitian_invertible(ctx, 2, rng)
+        z = (g0 * u_t(sp, t))(y0)
+        gz = g(z.basis)
+        top, bot = Matrix(ctx, gz.rows[:2]), Matrix(ctx, gz.rows[2:])
+        assert kappa(x, y, z).mat == top * bot.inverse()
 
 
 def test_standardize_swapped_pair():
@@ -308,7 +340,7 @@ def test_holonomy_reverse_composes_to_identity():
             rng = rng_for(71, trial)
             x, y, z = random_opposite_triple(sp, rng)
             fwd = holonomy(x, y, z)
-            rev = holonomy_reverse(x, y, z)
+            rev = -holonomy(x, y, z)
             assert fwd * rev == Matrix.identity(ctx, 4)
             # degree -1 unitary for the graded hyperbolic structure
             assert fwd.jt() * sp.gram * fwd == sp.gram
