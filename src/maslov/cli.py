@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import MaslovError, NonGeneric, ParseError
+from .errors import MaslovError, NonGeneric, ParseError, TooLarge
 from .fields import INF, FieldCtx
 from .forms import FormMatrix
 from .lagrange import (
@@ -214,10 +214,13 @@ def _det_one_matrices(ctx, rng):
         return scaled
 
 
-def cmd_steinberg_check(ctx, inputs, args):
+def cmd_steinberg_check(ctx, inputs, args, limit=20000):
     if args.exhaustive:
         if not ctx.is_finite:
             raise ParseError("--exhaustive needs a finite field")
+        total = (ctx.order - 1) ** 3
+        if total > limit:
+            raise TooLarge(f"{total} triples exceed the limit {limit}")
         els = ctx.nonzero_elements()
         triples = [(s, t, r) for s in els for t in els for r in els]
     else:

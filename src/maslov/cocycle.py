@@ -17,6 +17,7 @@ from .errors import (
     NonGeneric,
     NotPairwiseOpposite,
     TooLarge,
+    ValidationError,
     WrongContext,
 )
 from .forms import FormMatrix, isometry_key, radical_split
@@ -47,8 +48,9 @@ def boundary_defect(x, y, z, zp) -> WittClass:
     """m<y,z,z'> - m<x,z,z'> + m<x,y,z'> - m<x,y,z> for six-way opposite
     quadruples; the cocycle theorem says this is always zero."""
     check_pairwise_opposite(x, y, z, zp)
+    frame = PairFrame(x, y)
     return (maslov(y, z, zp) - maslov(x, z, zp)
-            + maslov(x, y, zp) - maslov(x, y, z))
+            + witt_class(frame.kappa(zp)) - witt_class(frame.kappa(z)))
 
 
 def relation_check(r: FormMatrix, s: FormMatrix, t: FormMatrix) -> WittClass:
@@ -94,8 +96,7 @@ def kashiwara_form(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> FormMatrix:
     top = zero.hstack(sxy).hstack(szx.transpose())
     mid = sxy.transpose().hstack(zero).hstack(syz)
     bot = szx.hstack(syz.transpose()).hstack(zero)
-    rows = list(top.rows) + list(mid.rows) + list(bot.rows)
-    return FormMatrix(ctx, Matrix(ctx, rows), 1)
+    return FormMatrix(ctx, top.vstack(mid).vstack(bot), 1)
 
 
 def kashiwara_class(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> WittClass:
@@ -194,11 +195,10 @@ class BasedTriple:
             t if isinstance(t, Matrix) else Matrix(ctx, t))
         x0, y0 = space.standard_pair()
         zero = Matrix.zeros(ctx, n, n)
-        vx = BasedLagrangian(x0, Matrix(ctx, list(am.rows) + list(zero.rows)))
-        vy = BasedLagrangian(y0, Matrix(ctx, list(zero.rows) + list(bm.rows)))
+        vx = BasedLagrangian(x0, am.vstack(zero))
+        vy = BasedLagrangian(y0, zero.vstack(bm))
         zlag = u_t(space, tm)(y0)
-        vz = BasedLagrangian(
-            zlag, Matrix(ctx, list((tm * cm).rows) + list(cm.rows)))
+        vz = BasedLagrangian(zlag, (tm * cm).vstack(cm))
         return BasedTriple(vx, vy, vz)
 
     def lagrangians(self):
@@ -291,7 +291,7 @@ def orbit_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
         raise TooLarge("census is implemented for rank <= 2")
     lags = enumerate_lagrangians(space)
     count = len(lags)
-    index = {lag: i for i, lag in enumerate(lags)}
+    index = {lag.canonical: i for i, lag in enumerate(lags)}
 
     opp = [[False] * count for _ in range(count)]
     for i in range(count):
@@ -334,9 +334,12 @@ def orbit_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
         rows = [list(r) for r in Matrix.identity(ctx, 2 * space.n).rows]
         rows[0], rows[space.n] = rows[space.n], rows[0]
         gens.append(UnitaryElement(space, Matrix(ctx, rows)))
-    perms = []
-    for g in gens:
-        perms.append([index[g(lag)] for lag in lags])
+    # g preserves the form and the list is complete, so finding the
+    # canonical basis of g(lag) in it proves g(lag) a Lagrangian
+    perms = [[index.get((g.mat * lag.canonical).column_space_canonical())
+              for lag in lags] for g in gens]
+    if any(None in perm for perm in perms):
+        raise ValidationError("a generator image is not in the list")
 
     fibers: dict = {}
     for i, j, ks in pairs:

@@ -14,10 +14,11 @@ hashable; arithmetic is exact everywhere.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ParseError, ValidationError, ZeroScalar
+from .errors import ParseError, TooLarge, ValidationError, ZeroScalar
 
 INF = "inf"  # the real place, used by Hilbert-symbol code
 
@@ -71,14 +72,20 @@ def _factorize_abs(n: int):
             n //= f
         f += 2
     if n > 1:
-        for p in _factor_large(n):
+        for p in _factor_large(n, [RHO_STEPS]):
             out[p] = out.get(p, 0) + 1
     return tuple(sorted(out.items()))
 
 
-def _factor_large(n: int) -> list:
-    # Pollard rho for cofactors the trial division above left behind;
-    # harness scalars are small, so this stays rare.
+# Pollard rho steps one factorize call may take before it gives up
+RHO_STEPS = 1 << 20
+_RHO_BATCH = 64
+
+
+def _factor_large(n: int, budget: list) -> list:
+    # Pollard rho (Floyd) for cofactors the trial division above left
+    # behind, with one gcd per batch of steps; budget[0] is the number of
+    # steps left to the whole factorize call.
     if n == 1:
         return []
     if is_prime(n):
@@ -91,12 +98,21 @@ def _factor_large(n: int) -> list:
         x = y = rng.randrange(2, n)
         d = 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            if budget[0] <= 0:
+                raise TooLarge(f"factoring a {n.bit_length()}-bit cofactor "
+                               f"takes over {RHO_STEPS} Pollard rho steps")
+            budget[0] -= _RHO_BATCH
+            q = 1
+            for _ in range(_RHO_BATCH):
+                x = (x * x + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            d = math.gcd(q, n)
+        # d = n: the batch met every factor at once; try another c
         if d != n:
-            return sorted(_factor_large(d) + _factor_large(n // d))
+            return sorted(_factor_large(d, budget)
+                          + _factor_large(n // d, budget))
 
 
 def squarefree_part(q) -> int:
@@ -386,6 +402,141 @@ class QuadElt:
         return f"{self.a}+{self.b}*sqrt({self.d})"
 
 
+# ---------------------------------------------------------------------------
+# Arithmetic kernels: one per context, on the raw values matrices hold.
+# Each has zero, one, wrap (raw -> scalar), unwrap (scalar or int -> raw;
+# entries of another field raise), conj, neg, add, sub, mul, inv,
+# dot(row, col), axpy(xs, f, ys) = [x - f y] and scale(xs, c) = [x c].
+
+
+def _same(x):
+    return x
+
+
+class _FpKernel:
+    """F_p on ints in [0, p); a dot product reduces once."""
+
+    zero, one = 0, 1
+    conj = staticmethod(_same)
+
+    def __init__(self, p):
+        self.p = p
+        self.neg = lambda a: -a % p
+        self.add = lambda a, b: (a + b) % p
+        self.sub = lambda a, b: (a - b) % p
+        self.mul = lambda a, b: a * b % p
+        self.inv = lambda a: pow(a, -1, p)
+
+    def wrap(self, v):
+        return FpElt(self.p, v)
+
+    def unwrap(self, x):
+        if type(x) is FpElt and x.p == self.p:
+            return x.v
+        if isinstance(x, int):
+            return x % self.p
+        raise ValidationError(f"entry {x!r} is not in F_{self.p}")
+
+    def dot(self, row, col):
+        return sum(map(operator.mul, row, col)) % self.p
+
+    def axpy(self, xs, f, ys):
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(xs, ys)]
+
+    def scale(self, xs, c):
+        p = self.p
+        return [x * c % p for x in xs]
+
+
+class _Fp2Kernel:
+    """F_{p^2} on int pairs (a, b) for a + b w, w^2 = nu, reduced mod p."""
+
+    zero, one = (0, 0), (1, 0)
+
+    def __init__(self, p, nu):
+        self.p, self.nu = p, nu
+        self.conj = lambda v: (v[0], -v[1] % p)
+        self.neg = lambda v: (-v[0] % p, -v[1] % p)
+        self.add = lambda u, v: ((u[0] + v[0]) % p, (u[1] + v[1]) % p)
+        self.sub = lambda u, v: ((u[0] - v[0]) % p, (u[1] - v[1]) % p)
+
+    def wrap(self, v):
+        return Fp2Elt(self.p, self.nu, *v)
+
+    def unwrap(self, x):
+        if type(x) is Fp2Elt and x.p == self.p:
+            return (x.a, x.b)
+        if isinstance(x, int):
+            return (x % self.p, 0)
+        raise ValidationError(f"entry {x!r} is not in F_{self.p}^2")
+
+    def mul(self, u, v):
+        return self.scale((u,), v)[0]
+
+    def inv(self, v):
+        (a, b), p = v, self.p
+        n = pow((a * a - self.nu * b * b) % p, -1, p)
+        return (a * n % p, -b * n % p)
+
+    def dot(self, row, col):
+        re = im = ww = 0
+        for (a, b), (c, d) in zip(row, col):
+            re += a * c
+            ww += b * d
+            im += a * d + b * c
+        return ((re + self.nu * ww) % self.p, im % self.p)
+
+    def axpy(self, xs, f, ys):
+        (c, d), p = f, self.p
+        dn = d * self.nu
+        return [((a - c * e - dn * g) % p, (b - c * g - d * e) % p)
+                for (a, b), (e, g) in zip(xs, ys)]
+
+    def scale(self, xs, f):
+        (c, d), p = f, self.p
+        dn = d * self.nu
+        return [((a * c + b * dn) % p, (a * d + b * c) % p) for a, b in xs]
+
+
+class _ScalarKernel:
+    """Q and Q(sqrt(d)): the raw value is the scalar itself, so matrix
+    loops do exactly what they did on scalars."""
+
+    wrap = staticmethod(_same)
+    neg = staticmethod(operator.neg)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.zero, self.one = ctx.from_rational(0), ctx.from_rational(1)
+        self.conj = ctx.involution
+
+    def unwrap(self, x):
+        if type(x) is type(self.one) and getattr(x, "d", None) == self.ctx.d:
+            return x
+        if isinstance(x, (int, Fraction)):
+            return self.ctx.from_rational(x)
+        raise ValidationError(f"{x!r} is not an element of {self.ctx!r}")
+
+    def inv(self, a):
+        return self.one / a
+
+    def dot(self, row, col):
+        acc = row[0] * col[0]
+        for a, b in zip(row[1:], col[1:]):
+            acc = acc + a * b
+        return acc
+
+    def axpy(self, xs, f, ys):
+        return [x - f * y for x, y in zip(xs, ys)]
+
+    def scale(self, xs, c):
+        return [x * c for x in xs]
+
+
 class FieldCtx:
     """A supported exact field with involution and the hermitian sign.
 
@@ -405,19 +556,22 @@ class FieldCtx:
         self.d = d
         self.epsilon = epsilon
         if kind == "Q":
-            pass
+            self.kernel = _ScalarKernel(self)
         elif kind == "Fp":
             if p is None or not is_prime(p) or p == 2:
                 raise ValidationError("Fp needs an odd prime p")
+            self.kernel = _FpKernel(p)
         elif kind == "Fp2":
             if p is None or not is_prime(p) or p == 2:
                 raise ValidationError("Fp2 needs an odd prime p")
             self.nu = self._least_nonresidue(p)
+            self.kernel = _Fp2Kernel(p, self.nu)
         elif kind == "QSqrt":
             if d is None or d == 0 or d == 1:
                 raise ValidationError("QSqrt needs a squarefree d != 0, 1")
             if any(e > 1 for e in factorize(d).values()):
                 raise ValidationError("d must be squarefree")
+            self.kernel = _ScalarKernel(self)
         else:
             raise ValidationError(f"unknown field kind {kind!r}")
 
@@ -475,13 +629,7 @@ class FieldCtx:
         return self.from_int(1)
 
     def from_int(self, n: int):
-        if self.kind == "Q":
-            return Fraction(n)
-        if self.kind == "Fp":
-            return FpElt(self.p, n)
-        if self.kind == "Fp2":
-            return Fp2Elt(self.p, self.nu, n, 0)
-        return QuadElt(self.d, n, 0)
+        return self.kernel.wrap(self.kernel.unwrap(n))
 
     def from_rational(self, q):
         q = Fraction(q)

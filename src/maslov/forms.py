@@ -39,7 +39,8 @@ class FormMatrix:
             raise DimensionMismatch("form matrix must be square")
         if eps not in (1, -1):
             raise ValidationError("eps must be +1 or -1")
-        if m.jt().scale(ctx.from_int(eps)) != m:
+        herm = m.jt()
+        if (herm if eps == 1 else -herm) != m:
             raise NotHermitian(f"matrix is not {eps:+d}-hermitian")
         self.ctx = ctx
         self.mat = m

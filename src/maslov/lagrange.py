@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import (
+    DimensionMismatch,
     NotFound,
     NotHermitian,
     NotOpposite,
@@ -56,15 +57,21 @@ class HyperbolicSpace:
         return f"HyperbolicSpace({self.ctx!r}, n={self.n})"
 
     def pairing(self, u: Matrix, v: Matrix):
-        """h(u, v) for column vectors or blocks of columns."""
-        return u.jt() * self.gram * v
+        """h(u, v) = u^J G v for column vectors or blocks of columns; G v
+        is the row shuffle [-eps v_2; v_1] of the halves of v."""
+        n = self.n
+        if v.m != 2 * n:
+            raise DimensionMismatch("pairing needs vectors of length 2n")
+        low = v.row_block(n, 2 * n)
+        if self.ctx.epsilon == 1:
+            low = -low
+        return u.jt() * low.vstack(v.row_block(0, n))
 
     def standard_pair(self):
         eye = Matrix.identity(self.ctx, self.n)
         zero = Matrix.zeros(self.ctx, self.n, self.n)
-        top = Matrix(self.ctx, list(eye.rows) + list(zero.rows))
-        bot = Matrix(self.ctx, list(zero.rows) + list(eye.rows))
-        return Lagrangian(self, top), Lagrangian(self, bot)
+        return (Lagrangian(self, eye.vstack(zero)),
+                Lagrangian(self, zero.vstack(eye)))
 
 
 class Lagrangian:
@@ -129,7 +136,7 @@ class UnitaryElement:
     def __init__(self, space: HyperbolicSpace, mat: Matrix):
         if mat.m != space.dim or mat.n != space.dim:
             raise ValidationError("unitary matrix has the wrong size")
-        if mat.jt() * space.gram * mat != space.gram:
+        if space.pairing(mat, mat) != space.gram:
             raise ValidationError("matrix does not preserve the form")
         self.space = space
         self.mat = mat
@@ -314,9 +321,8 @@ def common_opposite(lags, rng=None, max_tries: int = 4000) -> Lagrangian:
         raw = Matrix(ctx, [[ctx.random_element(rng, span) for _ in range(n)]
                            for _ in range(n)])
         t = raw + raw.jt().scale(ctx.from_int(ctx.epsilon))
-        cand_basis = Matrix(ctx, list(t.rows) + list(eye.rows))
         try:
-            cand = Lagrangian(space, cand_basis)
+            cand = Lagrangian(space, t.vstack(eye))
         except ValidationError:
             continue
         if all(is_opposite(cand, lx) for lx in lags):
@@ -350,7 +356,7 @@ class PairFrame:
         self.space = space
         self.top = c.jt() * space.gram
         self.bot = (b.jt() * space.gram).scale(ctx.from_int(-ctx.epsilon))
-        self.inverse = Matrix(ctx, self.top.rows + self.bot.rows)
+        self.inverse = self.top.vstack(self.bot)
         if self.inverse * b.hstack(c) != Matrix.identity(ctx, space.dim):
             raise ValidationError("frame coordinates do not invert the frame")
 

@@ -1,7 +1,10 @@
 """Dense exact matrices over a FieldCtx.
 
 Everything is immutable; all eliminations use exact field division, so
-ranks, kernels and inverses are never approximate.
+ranks, kernels and inverses are never approximate.  A matrix holds the
+raw values of its context's arithmetic kernel (``FieldCtx.kernel``) and
+computes on them; scalars appear only at the boundary (``Matrix(ctx,
+rows)``, ``rows``, indexing and ``det``).
 """
 
 from __future__ import annotations
@@ -10,28 +13,27 @@ from .errors import DimensionMismatch, SingularInput, ValidationError
 from .fields import FieldCtx
 
 
-def _gauss_jordan(ctx, a):
-    """Bring the list of row lists a to reduced row echelon form in place;
-    returns the pivot columns."""
+def _gauss_jordan(k, a):
+    """Bring the list of raw rows a to reduced row echelon form in place,
+    with kernel k; returns the pivot columns."""
     m = len(a)
     n = len(a[0]) if a else 0
+    zero = k.zero
     pivots = []
     r = 0
     for c in range(n):
         piv = None
         for i in range(r, m):
-            if a[i][c]:
+            if a[i][c] != zero:
                 piv = i
                 break
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = ctx.one() / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        a[r] = k.scale(a[r], k.inv(a[r][c]))
         for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            if i != r and a[i][c] != zero:
+                a[i] = k.axpy(a[i], a[i][c], a[r])
         pivots.append(c)
         r += 1
         if r == m:
@@ -40,83 +42,112 @@ def _gauss_jordan(ctx, a):
 
 
 class Matrix:
-    __slots__ = ("ctx", "rows", "m", "n")
+    __slots__ = ("ctx", "raw", "m", "n", "_rows")
 
     def __init__(self, ctx: FieldCtx, rows):
-        rows = tuple(
-            tuple(ctx.from_int(a) if isinstance(a, int) else a for a in r)
-            for r in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
+        unwrap = ctx.kernel.unwrap
+        raw = tuple(tuple(map(unwrap, r)) for r in rows)
+        if raw:
+            width = len(raw[0])
+            if any(len(r) != width for r in raw):
                 raise ValidationError("ragged matrix")
         self.ctx = ctx
-        self.rows = rows
-        self.m = len(rows)
-        self.n = len(rows[0]) if rows else 0
+        self.raw = raw
+        self.m = len(raw)
+        self.n = len(raw[0]) if raw else 0
+        self._rows = None
+
+    @classmethod
+    def _of(cls, ctx, raw):
+        """Trusted constructor for closed operations: raw is a tuple of
+        equal-length rows of ctx's raw values, taken as it is."""
+        out = cls.__new__(cls)
+        out.ctx = ctx
+        out.raw = raw
+        out.m = len(raw)
+        out.n = len(raw[0]) if raw else 0
+        out._rows = None
+        return out
+
+    @property
+    def rows(self):
+        """The entries as scalars, row by row."""
+        if self._rows is None:
+            wrap = self.ctx.kernel.wrap
+            self._rows = tuple(tuple(map(wrap, r)) for r in self.raw)
+        return self._rows
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def identity(ctx, n):
-        one, zero = ctx.one(), ctx.zero()
-        return Matrix(ctx, [[one if i == j else zero for j in range(n)]
-                            for i in range(n)])
+        return Matrix.diagonal(ctx, [1] * n)
 
     @staticmethod
     def zeros(ctx, m, n):
-        zero = ctx.zero()
-        return Matrix(ctx, [[zero] * n for _ in range(m)])
+        return Matrix._of(ctx, ((ctx.kernel.zero,) * n,) * m)
 
     @staticmethod
     def diagonal(ctx, entries):
-        entries = list(entries)
-        zero = ctx.zero()
+        k = ctx.kernel
+        entries = [k.unwrap(e) for e in entries]
         n = len(entries)
-        return Matrix(ctx, [[entries[i] if i == j else zero
-                             for j in range(n)] for i in range(n)])
+        return Matrix._of(ctx, tuple(
+            tuple(entries[i] if i == j else k.zero for j in range(n))
+            for i in range(n)))
 
     @staticmethod
     def block2(a, b, c, d):
         """Assemble [[a, b], [c, d]] from four compatible blocks."""
-        ctx = a.ctx
         if a.m != b.m or c.m != d.m or a.n != c.n or b.n != d.n:
             raise DimensionMismatch("incompatible blocks")
-        rows = [ra + rb for ra, rb in zip(a.rows, b.rows)]
-        rows += [rc + rd for rc, rd in zip(c.rows, d.rows)]
-        return Matrix(ctx, rows)
+        return a.hstack(b).vstack(c.hstack(d))
 
     def hstack(self, other):
         if self.m != other.m:
             raise DimensionMismatch("hstack rows differ")
-        return Matrix(self.ctx, [ra + rb for ra, rb
-                                 in zip(self.rows, other.rows)])
+        return Matrix._of(self.ctx, tuple(ra + rb for ra, rb
+                                          in zip(self.raw, other.raw)))
+
+    def vstack(self, other):
+        if self.n != other.n:
+            raise DimensionMismatch("vstack columns differ")
+        return Matrix._of(self.ctx, self.raw + other.raw)
+
+    def row_block(self, i, j):
+        """Rows i to j - 1."""
+        return Matrix._of(self.ctx, self.raw[i:j])
 
     # -- slicing --------------------------------------------------------
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return self.ctx.kernel.wrap(self.raw[i][j])
 
     # -- arithmetic -----------------------------------------------------
 
-    def __add__(self, other):
+    def _entrywise(self, op, other):
         if self.m != other.m or self.n != other.n:
             raise DimensionMismatch("matrix sizes differ")
-        return Matrix(self.ctx, [[a + b for a, b in zip(ra, rb)]
-                                 for ra, rb in zip(self.rows, other.rows)])
+        return Matrix._of(self.ctx, tuple(
+            tuple(map(op, ra, rb)) for ra, rb in zip(self.raw, other.raw)))
+
+    def __add__(self, other):
+        return self._entrywise(self.ctx.kernel.add, other)
 
     def __sub__(self, other):
-        if self.m != other.m or self.n != other.n:
-            raise DimensionMismatch("matrix sizes differ")
-        return Matrix(self.ctx, [[a - b for a, b in zip(ra, rb)]
-                                 for ra, rb in zip(self.rows, other.rows)])
+        return self._entrywise(self.ctx.kernel.sub, other)
 
     def __neg__(self):
-        return Matrix(self.ctx, [[-a for a in r] for r in self.rows])
+        neg = self.ctx.kernel.neg
+        return Matrix._of(self.ctx, tuple(tuple(map(neg, r))
+                                          for r in self.raw))
 
     def scale(self, c):
-        return Matrix(self.ctx, [[a * c for a in r] for r in self.rows])
+        k = self.ctx.kernel
+        c = k.unwrap(c)
+        return Matrix._of(self.ctx, tuple(tuple(k.scale(r, c))
+                                          for r in self.raw))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -124,37 +155,31 @@ class Matrix:
         if self.n != other.m:
             raise DimensionMismatch(
                 f"cannot multiply {self.m}x{self.n} by {other.m}x{other.n}")
-        bt = list(zip(*other.rows))
-        out = []
-        for ra in self.rows:
-            row = []
-            for cb in bt:
-                acc = ra[0] * cb[0]
-                for a, b in zip(ra[1:], cb[1:]):
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.ctx, out)
+        dot = self.ctx.kernel.dot
+        cols = tuple(zip(*other.raw))
+        return Matrix._of(self.ctx, tuple(
+            tuple([dot(r, c) for c in cols]) for r in self.raw))
 
     def transpose(self):
-        return Matrix(self.ctx, list(zip(*self.rows)))
+        return Matrix._of(self.ctx, tuple(zip(*self.raw)))
 
     def jt(self):
         """Conjugate transpose: transpose with the involution applied."""
-        inv = self.ctx.involution
-        return Matrix(self.ctx, [[inv(a) for a in r]
-                                 for r in zip(*self.rows)])
+        conj = self.ctx.kernel.conj
+        return Matrix._of(self.ctx, tuple(tuple(map(conj, r))
+                                          for r in zip(*self.raw)))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.raw == other.raw and (self.ctx is other.ctx
+                                          or self.ctx == other.ctx)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.raw)
 
     def is_zero(self):
-        return all(not a for r in self.rows for a in r)
+        return self.raw == ((self.ctx.kernel.zero,) * self.n,) * self.m
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(a) for a in r) for r in self.rows)
@@ -165,29 +190,28 @@ class Matrix:
     def det(self):
         if self.m != self.n:
             raise DimensionMismatch("determinant of a non-square matrix")
+        k = self.ctx.kernel
+        zero = k.zero
         n = self.n
-        if n == 0:
-            return self.ctx.one()
-        a = [list(r) for r in self.rows]
-        det = self.ctx.one()
-        for k in range(n):
+        a = list(self.raw)
+        det = k.one
+        for c in range(n):
             piv = None
-            for i in range(k, n):
-                if a[i][k]:
+            for i in range(c, n):
+                if a[i][c] != zero:
                     piv = i
                     break
             if piv is None:
-                return self.ctx.zero()
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                det = -det
-            det = det * a[k][k]
-            inv = self.ctx.one() / a[k][k]
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    f = a[i][k] * inv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        return det
+                return k.wrap(zero)
+            if piv != c:
+                a[c], a[piv] = a[piv], a[c]
+                det = k.neg(det)
+            det = k.mul(det, a[c][c])
+            inv = k.inv(a[c][c])
+            for i in range(c + 1, n):
+                if a[i][c] != zero:
+                    a[i] = k.axpy(a[i], k.mul(a[i][c], inv), a[c])
+        return k.wrap(det)
 
     def is_invertible(self):
         return self.m == self.n and bool(self.det())
@@ -196,19 +220,19 @@ class Matrix:
         if self.m != self.n:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.n
-        one, zero = self.ctx.one(), self.ctx.zero()
-        a = [list(r) + [one if i == j else zero for j in range(n)]
-             for i, r in enumerate(self.rows)]
+        k = self.ctx.kernel
+        eye = Matrix.identity(self.ctx, n).raw
+        a = [r + e for r, e in zip(self.raw, eye)]
         # [A | I] has rank n; A is invertible iff its pivots are A's columns
-        if n and _gauss_jordan(self.ctx, a)[-1] >= n:
+        if n and _gauss_jordan(k, a)[-1] >= n:
             raise SingularInput("matrix is singular")
-        return Matrix(self.ctx, [r[n:] for r in a])
+        return Matrix._of(self.ctx, tuple(tuple(r[n:]) for r in a))
 
     def rref(self):
         """Reduced row echelon form together with the pivot columns."""
-        a = [list(r) for r in self.rows]
-        pivots = _gauss_jordan(self.ctx, a)
-        return Matrix(self.ctx, a), pivots
+        a = list(self.raw)
+        pivots = _gauss_jordan(self.ctx.kernel, a)
+        return Matrix._of(self.ctx, tuple(map(tuple, a))), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -216,8 +240,7 @@ class Matrix:
     def column_space_canonical(self):
         """Canonical basis of the column space (reduced column echelon)."""
         red, pivots = self.transpose().rref()
-        basis_rows = red.rows[: len(pivots)]
-        return Matrix(self.ctx, basis_rows).transpose()
+        return red.row_block(0, len(pivots)).transpose()
 
     def kernel(self):
         """Basis of the right kernel, as a list of column vectors."""
@@ -228,6 +251,6 @@ class Matrix:
             v = [self.ctx.zero()] * self.n
             v[f] = self.ctx.one()
             for r, c in enumerate(pivots):
-                v[c] = -red.rows[r][f]
+                v[c] = -red[r, f]
             basis.append(v)
         return basis

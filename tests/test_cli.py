@@ -166,6 +166,26 @@ def test_steinberg_check_exhaustive():
     assert rep["outputs"]["violations"] == 0
 
 
+def test_unbounded_work_exits_2_with_too_large():
+    # a 121-bit entry whose smaller prime factor has 61 bits, past the
+    # Pollard rho budget, and an exhaustive sweep of 1008^3 triples
+    big = str((2**61 - 1) * (10**18 + 3))
+    matrix = json.dumps({"matrix": [[big, "0"], ["0", "1"]]})
+    for argv, message in [
+        (("witt", "--input", matrix), "121-bit cofactor"),
+        (("disc", "--input", matrix), "121-bit cofactor"),
+        (("steinberg-check", "--field", '{"kind":"Fp","p":1009}',
+          "--exhaustive"), "1024192512 triples exceed the limit 20000"),
+    ]:
+        started = time.monotonic()
+        proc = invoke(*argv)
+        assert time.monotonic() - started < 5
+        assert proc.returncode == 2
+        rep = report_of(proc)
+        assert rep["error"] == "TooLarge"
+        assert message in rep["message"]
+
+
 def test_parse_error_exit_code():
     # malformed input: exit 2 with a named error and no traceback
     for argv, error in [

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from maslov.errors import ValidationError, ZeroScalar
+from maslov import fields
+from maslov.errors import TooLarge, ValidationError, ZeroScalar
 from maslov.fields import (
     FieldCtx,
+    factorize,
     norm_subgroup_class,
     squarefree_part,
 )
@@ -67,6 +69,22 @@ def test_squarefree_part():
     assert squarefree_part(Fraction(8, 3)) == 6
     with pytest.raises(ZeroScalar):
         squarefree_part(0)
+
+
+def test_factorize_has_a_rho_budget():
+    # factors near 2^20 and 2^30 split well inside the budget
+    assert factorize(-1048583 * 1049011) == {1048583: 1, 1049011: 1}
+    assert factorize(998244353 * 1000000007 * 12) == {
+        2: 2, 3: 1, 998244353: 1, 1000000007: 1}
+    # the smaller factor of this 121-bit product is 61 bits: rho would
+    # need about 2^30 steps, so the call stops at its budget
+    big = (2**61 - 1) * (10**18 + 3)
+    with pytest.raises(TooLarge, match="121-bit"):
+        factorize(big)
+    # a refusal is not cached as a factorization: asking again refuses
+    with pytest.raises(TooLarge):
+        factorize(big)
+    assert fields.RHO_STEPS == 1 << 20
 
 
 def test_norm_class_examples():

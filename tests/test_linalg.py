@@ -1,11 +1,13 @@
 """Exact matrix operations over each field kind."""
 
+import itertools
 import random
 
 import pytest
 
-from maslov.errors import SingularInput
+from maslov.errors import DimensionMismatch, SingularInput, ValidationError
 from maslov.fields import FieldCtx
+from maslov.lagrange import HyperbolicSpace
 from maslov.linalg import Matrix
 
 CTXS = [
@@ -83,3 +85,182 @@ def test_block_assembly():
     assert h.rows[0][2] == -1
     assert h.rows[2][0] == 1
     assert h.det() == 1
+
+
+# ---------------------------------------------------------------------------
+# Kernels against the scalar classes: every matrix operation below is
+# recomputed entry by entry through FpElt / Fp2Elt arithmetic.
+
+FINITE = [
+    FieldCtx("Fp", p=3),
+    FieldCtx("Fp", p=5),
+    FieldCtx("Fp", p=7),
+    FieldCtx("Fp2", p=3),
+    FieldCtx("Fp2", p=5),
+    FieldCtx("Fp2", p=7),
+]
+
+
+def scalar_rows(ctx, m, n, rng, singular=False):
+    rows = [[ctx.random_element(rng) for _ in range(n)] for _ in range(m)]
+    if singular:
+        # the last row a combination of the others (zero when m = 1)
+        c = [ctx.random_element(rng) for _ in range(m - 1)]
+        rows[-1] = [sum((ci * r[j] for ci, r in zip(c, rows)), ctx.zero())
+                    for j in range(n)]
+    return rows
+
+
+def oracle_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), a[i][0] * 0)
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def oracle_det(a):
+    # Leibniz formula: a sum over permutations, with no elimination
+    n = len(a)
+    total = a[0][0] * 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = a[0][0] * 0 + (-1) ** inversions
+        for i in range(n):
+            term = term * a[i][perm[i]]
+        total = total + term
+    return total
+
+
+def oracle_inverse(a):
+    # adjugate over the determinant
+    n = len(a)
+    d = oracle_det(a)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[a[r][c] for c in range(n) if c != i]
+                     for r in range(n) if r != j]
+            cof = oracle_det(minor) if minor else a[0][0] * 0 + 1
+            out[i][j] = cof * (-1) ** (i + j) / d
+    return out
+
+
+def oracle_rref(a):
+    a = [list(r) for r in a]
+    m, n = len(a), len(a[0])
+    pivots, r = [], 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        lead = a[r][c]
+        a[r] = [x / lead for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return a, pivots
+
+
+def same(mat, rows):
+    return [list(r) for r in mat.rows] == [list(r) for r in rows]
+
+
+@pytest.mark.parametrize("ctx", FINITE, ids=repr)
+def test_kernels_match_scalar_arithmetic(ctx):
+    rng = random.Random(f"kernel:{ctx.kind}:{ctx.p}")
+    for trial in range(40):
+        n = 1 + trial % 4
+        m = 1 + (trial // 4) % 4
+        singular = trial % 3 == 0
+        a_rows = scalar_rows(ctx, n, n, rng, singular)
+        b_rows = scalar_rows(ctx, n, m, rng)
+        c_rows = scalar_rows(ctx, n, m, rng)
+        a, b, c = (Matrix(ctx, r) for r in (a_rows, b_rows, c_rows))
+        s = ctx.random_element(rng)
+        assert same(a * b, oracle_mul(a_rows, b_rows))
+        assert same(b + c, [[x + y for x, y in zip(rb, rc)]
+                            for rb, rc in zip(b_rows, c_rows)])
+        assert same(b - c, [[x - y for x, y in zip(rb, rc)]
+                            for rb, rc in zip(b_rows, c_rows)])
+        assert same(-b, [[-x for x in r] for r in b_rows])
+        assert same(b.scale(s), [[x * s for x in r] for r in b_rows])
+        assert same(b.jt(), [[ctx.involution(b_rows[i][j])
+                              for i in range(n)] for j in range(m)])
+        d = oracle_det(a_rows)
+        assert a.det() == d
+        assert a.is_invertible() == bool(d)
+        if d:
+            assert same(a.inverse(), oracle_inverse(a_rows))
+        else:
+            with pytest.raises(SingularInput):
+                a.inverse()
+        for mat, rows in ((a, a_rows), (b, b_rows), (b.jt(), b.jt().rows)):
+            red, pivots = mat.rref()
+            want, want_pivots = oracle_rref(rows)
+            assert same(red, want) and pivots == want_pivots
+            assert mat.rank() == len(want_pivots)
+
+
+def test_constructor_rejects_entries_of_other_fields():
+    f5, f7, f9 = FieldCtx("Fp", p=5), FieldCtx("Fp", p=7), FieldCtx("Fp2", p=3)
+    with pytest.raises(ValidationError):
+        Matrix(f5, [[f7.from_int(2)]])
+    with pytest.raises(ValidationError):
+        Matrix(f5, [[f5.one(), f9.generator()]])
+    with pytest.raises(ValidationError):
+        Matrix(f9, [[f5.one()]])
+    with pytest.raises(ValidationError):
+        Matrix(FieldCtx("Q"), [[f5.one()]])
+    with pytest.raises(ValidationError):
+        Matrix(FieldCtx("QSqrt", d=-1), [[FieldCtx("QSqrt", d=2).generator()]])
+    # ints and the context's own scalars are accepted
+    assert Matrix(f5, [[7, f5.from_int(2)]]) == Matrix(f5, [[2, 2]])
+    # equal raw values over different fields are different matrices
+    assert Matrix(f5, [[1]]) != Matrix(f7, [[1]])
+    assert Matrix(f5, [[1]]) != Matrix(FieldCtx("Q"), [[1]])
+
+
+@pytest.mark.parametrize("ctx", CTXS + FINITE, ids=repr)
+def test_closed_operations_hash_like_public_construction(ctx):
+    rng = random.Random(5)
+    hashes = set()
+    for _ in range(10):
+        a = random_matrix(ctx, 3, 3, rng)
+        b = random_matrix(ctx, 3, 3, rng)
+        built = [a * Matrix.identity(ctx, 3), (a + b) - b, -(-a),
+                 a.transpose().transpose(), a.jt().jt(),
+                 a.scale(ctx.one()),
+                 a.row_block(0, 1).vstack(a.row_block(1, 3)),
+                 Matrix.block2(a, b, b, a).row_block(0, 3)
+                 .hstack(Matrix.zeros(ctx, 3, 0)) * Matrix(
+                     ctx, [[1 if i == j else 0 for j in range(3)]
+                           for i in range(6)])]
+        public = Matrix(ctx, [list(r) for r in a.rows])
+        for mat in built:
+            assert mat == public and public == mat
+            assert hash(mat) == hash(public)
+        hashes.add(hash(public))
+    assert len(hashes) > 1
+
+
+@pytest.mark.parametrize("ctx", [
+    FieldCtx("Q"), FieldCtx("Q", epsilon=-1),
+    FieldCtx("Fp", p=5), FieldCtx("Fp", p=5, epsilon=-1),
+    FieldCtx("Fp2", p=3), FieldCtx("Fp2", p=3, epsilon=-1),
+    FieldCtx("QSqrt", d=-1), FieldCtx("QSqrt", d=-1, epsilon=-1),
+], ids=repr)
+def test_pairing_is_the_gram_product(ctx):
+    rng = random.Random(6)
+    for n in (1, 2, 3):
+        space = HyperbolicSpace(ctx, n)
+        for k in (1, n, 2):
+            u = random_matrix(ctx, 2 * n, k, rng)
+            v = random_matrix(ctx, 2 * n, n, rng)
+            assert space.pairing(u, v) == u.jt() * space.gram * v
+        with pytest.raises(DimensionMismatch):
+            space.pairing(u, random_matrix(ctx, 2 * n + 1, n, rng))
