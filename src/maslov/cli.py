@@ -43,6 +43,9 @@ from .symbols import compare_stbg_maslov, steinberg_relations_report
 from .witt import hilbert_symbol, witt_class
 
 DEFAULT_SEED = 20259
+# the most (q - 1)^3 triples `steinberg-check --exhaustive` sweeps; 30^3
+# lets every sweep up to F_31 run, at under 2 ms a triple
+STEINBERG_LIMIT = 30**3
 
 
 def parse_field(spec) -> FieldCtx:
@@ -214,13 +217,14 @@ def _det_one_matrices(ctx, rng):
         return scaled
 
 
-def cmd_steinberg_check(ctx, inputs, args, limit=20000):
+def cmd_steinberg_check(ctx, inputs, args):
     if args.exhaustive:
         if not ctx.is_finite:
             raise ParseError("--exhaustive needs a finite field")
         total = (ctx.order - 1) ** 3
-        if total > limit:
-            raise TooLarge(f"{total} triples exceed the limit {limit}")
+        if total > STEINBERG_LIMIT:
+            raise TooLarge(
+                f"{total} triples exceed the limit {STEINBERG_LIMIT}")
         els = ctx.nonzero_elements()
         triples = [(s, t, r) for s in els for t in els for r in els]
     else:

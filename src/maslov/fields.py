@@ -13,6 +13,7 @@ hashable; arithmetic is exact everywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -405,30 +406,28 @@ class QuadElt:
 # ---------------------------------------------------------------------------
 # Arithmetic kernels: one per context, on the raw values matrices hold.
 # Each has zero, one, wrap (raw -> scalar), unwrap (scalar or int -> raw;
-# entries of another field raise), conj, neg, add, sub, mul, inv,
-# dot(row, col), axpy(xs, f, ys) = [x - f y] and scale(xs, c) = [x c].
-
-
-def _same(x):
-    return x
+# entries of another field raise), conj, neg, add, sub, mul, inv and, on
+# rows u and v of raw values, dot(u, v), axpy(u, f, v) = u - f v and
+# scale(u, c) = u c.
 
 
 class _FpKernel:
     """F_p on ints in [0, p); a dot product reduces once."""
 
     zero, one = 0, 1
-    conj = staticmethod(_same)
 
     def __init__(self, p):
         self.p = p
+        self.wrap = lambda a: FpElt(p, a)
+        self.conj = lambda a: a
         self.neg = lambda a: -a % p
         self.add = lambda a, b: (a + b) % p
         self.sub = lambda a, b: (a - b) % p
         self.mul = lambda a, b: a * b % p
         self.inv = lambda a: pow(a, -1, p)
-
-    def wrap(self, v):
-        return FpElt(self.p, v)
+        self.dot = lambda u, v: sum(map(operator.mul, u, v)) % p
+        self.axpy = lambda u, f, v: [(a - f * b) % p for a, b in zip(u, v)]
+        self.scale = lambda u, c: [a * c % p for a in u]
 
     def unwrap(self, x):
         if type(x) is FpElt and x.p == self.p:
@@ -436,17 +435,6 @@ class _FpKernel:
         if isinstance(x, int):
             return x % self.p
         raise ValidationError(f"entry {x!r} is not in F_{self.p}")
-
-    def dot(self, row, col):
-        return sum(map(operator.mul, row, col)) % self.p
-
-    def axpy(self, xs, f, ys):
-        p = self.p
-        return [(x - f * y) % p for x, y in zip(xs, ys)]
-
-    def scale(self, xs, c):
-        p = self.p
-        return [x * c % p for x in xs]
 
 
 class _Fp2Kernel:
@@ -456,13 +444,12 @@ class _Fp2Kernel:
 
     def __init__(self, p, nu):
         self.p, self.nu = p, nu
+        self.wrap = lambda v: Fp2Elt(p, nu, *v)
         self.conj = lambda v: (v[0], -v[1] % p)
         self.neg = lambda v: (-v[0] % p, -v[1] % p)
         self.add = lambda u, v: ((u[0] + v[0]) % p, (u[1] + v[1]) % p)
         self.sub = lambda u, v: ((u[0] - v[0]) % p, (u[1] - v[1]) % p)
-
-    def wrap(self, v):
-        return Fp2Elt(self.p, self.nu, *v)
+        self.mul = lambda u, v: self.scale((u,), v)[0]
 
     def unwrap(self, x):
         if type(x) is Fp2Elt and x.p == self.p:
@@ -471,48 +458,44 @@ class _Fp2Kernel:
             return (x % self.p, 0)
         raise ValidationError(f"entry {x!r} is not in F_{self.p}^2")
 
-    def mul(self, u, v):
-        return self.scale((u,), v)[0]
-
     def inv(self, v):
         (a, b), p = v, self.p
         n = pow((a * a - self.nu * b * b) % p, -1, p)
         return (a * n % p, -b * n % p)
 
-    def dot(self, row, col):
+    def dot(self, u, v):
         re = im = ww = 0
-        for (a, b), (c, d) in zip(row, col):
+        for (a, b), (c, d) in zip(u, v):
             re += a * c
             ww += b * d
             im += a * d + b * c
         return ((re + self.nu * ww) % self.p, im % self.p)
 
-    def axpy(self, xs, f, ys):
+    def axpy(self, u, f, v):
         (c, d), p = f, self.p
         dn = d * self.nu
         return [((a - c * e - dn * g) % p, (b - c * g - d * e) % p)
-                for (a, b), (e, g) in zip(xs, ys)]
+                for (a, b), (e, g) in zip(u, v)]
 
-    def scale(self, xs, f):
+    def scale(self, u, f):
         (c, d), p = f, self.p
         dn = d * self.nu
-        return [((a * c + b * dn) % p, (a * d + b * c) % p) for a, b in xs]
+        return [((a * c + b * dn) % p, (a * d + b * c) % p) for a, b in u]
 
 
 class _ScalarKernel:
     """Q and Q(sqrt(d)): the raw value is the scalar itself, so matrix
     loops do exactly what they did on scalars."""
 
-    wrap = staticmethod(_same)
-    neg = staticmethod(operator.neg)
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
+    neg, add, sub, mul = operator.neg, operator.add, operator.sub, operator.mul
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.zero, self.one = ctx.from_rational(0), ctx.from_rational(1)
-        self.conj = ctx.involution
+        self.wrap, self.conj = (lambda a: a), ctx.involution
+        self.inv = lambda a: self.one / a
+        self.axpy = lambda u, f, v: [a - f * b for a, b in zip(u, v)]
+        self.scale = lambda u, c: [a * c for a in u]
 
     def unwrap(self, x):
         if type(x) is type(self.one) and getattr(x, "d", None) == self.ctx.d:
@@ -521,20 +504,9 @@ class _ScalarKernel:
             return self.ctx.from_rational(x)
         raise ValidationError(f"{x!r} is not an element of {self.ctx!r}")
 
-    def inv(self, a):
-        return self.one / a
-
-    def dot(self, row, col):
-        acc = row[0] * col[0]
-        for a, b in zip(row[1:], col[1:]):
-            acc = acc + a * b
-        return acc
-
-    def axpy(self, xs, f, ys):
-        return [x - f * y for x, y in zip(xs, ys)]
-
-    def scale(self, xs, c):
-        return [x * c for x in xs]
+    @staticmethod
+    def dot(u, v):
+        return sum(map(operator.mul, u[1:], v[1:]), u[0] * v[0])
 
 
 class FieldCtx:
@@ -650,9 +622,7 @@ class FieldCtx:
         raise ValidationError("base field has no quadratic generator")
 
     def involution(self, x):
-        if self.kind in ("Q", "Fp"):
-            return x
-        return x.conj()
+        return x if self.has_trivial_involution else x.conj()
 
     def fixed_rational(self, x) -> Fraction:
         """The J-fixed scalar x as an exact rational (Fp maps to a lift)."""
@@ -665,15 +635,12 @@ class FieldCtx:
         raise ValidationError("no canonical rational lift for finite fields")
 
     def elements(self):
-        if self.kind == "Fp":
-            return [FpElt(self.p, v) for v in range(self.p)]
+        if not self.is_finite:
+            raise ValidationError("cannot enumerate an infinite field")
+        raws = range(self.p)
         if self.kind == "Fp2":
-            return [
-                Fp2Elt(self.p, self.nu, a, b)
-                for a in range(self.p)
-                for b in range(self.p)
-            ]
-        raise ValidationError("cannot enumerate an infinite field")
+            raws = itertools.product(raws, repeat=2)
+        return [self.kernel.wrap(v) for v in raws]
 
     def nonzero_elements(self):
         return [x for x in self.elements() if x]
@@ -724,8 +691,6 @@ class FieldCtx:
             return str(x)
         if self.kind == "Fp":
             return str(x.v)
-        if self.kind == "Fp2":
-            return [str(x.a), str(x.b)]
         return [str(x.a), str(x.b)]
 
 

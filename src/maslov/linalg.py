@@ -45,28 +45,19 @@ class Matrix:
     __slots__ = ("ctx", "raw", "m", "n", "_rows")
 
     def __init__(self, ctx: FieldCtx, rows):
-        unwrap = ctx.kernel.unwrap
-        raw = tuple(tuple(map(unwrap, r)) for r in rows)
-        if raw:
-            width = len(raw[0])
-            if any(len(r) != width for r in raw):
-                raise ValidationError("ragged matrix")
-        self.ctx = ctx
-        self.raw = raw
-        self.m = len(raw)
-        self.n = len(raw[0]) if raw else 0
-        self._rows = None
+        raw = tuple(tuple(map(ctx.kernel.unwrap, r)) for r in rows)
+        if raw and any(len(r) != len(raw[0]) for r in raw):
+            raise ValidationError("ragged matrix")
+        self.ctx, self.raw, self._rows = ctx, raw, None
+        self.m, self.n = len(raw), len(raw[0]) if raw else 0
 
     @classmethod
     def _of(cls, ctx, raw):
         """Trusted constructor for closed operations: raw is a tuple of
         equal-length rows of ctx's raw values, taken as it is."""
         out = cls.__new__(cls)
-        out.ctx = ctx
-        out.raw = raw
-        out.m = len(raw)
-        out.n = len(raw[0]) if raw else 0
-        out._rows = None
+        out.ctx, out.raw, out._rows = ctx, raw, None
+        out.m, out.n = len(raw), len(raw[0]) if raw else 0
         return out
 
     @property

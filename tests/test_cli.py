@@ -158,24 +158,37 @@ def test_odd_rank_orthogonal_sampling_exits_2(command, field, n):
     assert report_of(proc)["error"] == "NotFound"
 
 
-def test_steinberg_check_exhaustive():
+def test_steinberg_check_exhaustive(monkeypatch, capsys):
     proc = invoke("steinberg-check", "--field", '{"kind":"Fp","p":3}',
                   "--exhaustive")
     assert proc.returncode == 0
     rep = report_of(proc)
     assert rep["outputs"]["violations"] == 0
+    # a sweep of exactly the limit runs and a longer one is refused; the
+    # limit itself is (31 - 1)^3, so every sweep up to F_31 runs
+    assert cli.STEINBERG_LIMIT == 30**3
+    monkeypatch.setattr(cli, "STEINBERG_LIMIT", 4**3)
+    for p, code in [(5, 0), (7, 2)]:
+        assert cli.run(["steinberg-check", "--field",
+                        json.dumps({"kind": "Fp", "p": p}),
+                        "--exhaustive"]) == code
+        rep = json.loads(capsys.readouterr().out)
+        assert rep.get("error") == (None if code == 0 else "TooLarge")
+    assert rep["message"] == "216 triples exceed the limit 64"
 
 
 def test_unbounded_work_exits_2_with_too_large():
     # a 121-bit entry whose smaller prime factor has 61 bits, past the
-    # Pollard rho budget, and an exhaustive sweep of 1008^3 triples
+    # Pollard rho budget, and exhaustive sweeps of 36^3 and 1008^3 triples
     big = str((2**61 - 1) * (10**18 + 3))
     matrix = json.dumps({"matrix": [[big, "0"], ["0", "1"]]})
     for argv, message in [
         (("witt", "--input", matrix), "121-bit cofactor"),
         (("disc", "--input", matrix), "121-bit cofactor"),
+        (("steinberg-check", "--field", '{"kind":"Fp","p":37}',
+          "--exhaustive"), "46656 triples exceed the limit 27000"),
         (("steinberg-check", "--field", '{"kind":"Fp","p":1009}',
-          "--exhaustive"), "1024192512 triples exceed the limit 20000"),
+          "--exhaustive"), "1024192512 triples exceed the limit 27000"),
     ]:
         started = time.monotonic()
         proc = invoke(*argv)
