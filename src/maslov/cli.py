@@ -46,6 +46,10 @@ DEFAULT_SEED = 20259
 # the most (q - 1)^3 triples `steinberg-check --exhaustive` sweeps; 30^3
 # lets every sweep up to F_31 run, at under 2 ms a triple
 STEINBERG_LIMIT = 30**3
+# the largest rank the sampled checks take: over Q one trial at rank 8
+# passes in under a second, one at ranks 9 to 20 ends in the Pollard rho
+# TooLarge after 3 to 14 s, and rank 40 ran past a minute
+RANK_LIMIT = 8
 
 
 def parse_field(spec) -> FieldCtx:
@@ -166,43 +170,42 @@ def cmd_lagrangians(ctx, inputs, args):
     return out, []
 
 
-def cmd_boundary_check(ctx, inputs, args):
+def _sampled_check(ctx, inputs, args, holds, name, count):
+    """Count the seeded trials i with holds(space, rng_for(seed, i)); ranks
+    past RANK_LIMIT are refused before any sampling."""
     space = _space(ctx, inputs)
+    if space.n > RANK_LIMIT:
+        raise TooLarge(f"rank {space.n} exceeds the limit {RANK_LIMIT} "
+                       "of the sampled checks")
     trials = args.trials
-    zero = 0
-    for i in range(trials):
-        quad = random_opposite_quadruple(space, rng_for(args.seed, i))
-        if boundary_defect(*quad).is_zero():
-            zero += 1
-    checks = [{"name": "boundary-defect-zero", "pass": zero == trials,
-               "detail": f"{zero}/{trials}"}]
-    return {"trials": trials, "zero": zero}, checks
+    good = sum(holds(space, rng_for(args.seed, i)) for i in range(trials))
+    checks = [{"name": name, "pass": good == trials,
+               "detail": f"{good}/{trials}"}]
+    return {"trials": trials, count: good}, checks
+
+
+def cmd_boundary_check(ctx, inputs, args):
+    return _sampled_check(
+        ctx, inputs, args,
+        lambda space, rng: boundary_defect(
+            *random_opposite_quadruple(space, rng)).is_zero(),
+        "boundary-defect-zero", "zero")
 
 
 def cmd_disc_defect_check(ctx, inputs, args):
-    space = _space(ctx, inputs)
-    trials = args.trials
-    good = 0
-    for i in range(trials):
-        bt = random_based_triple(space, rng_for(args.seed, i))
-        if disc_defect(bt).is_identity():
-            good += 1
-    checks = [{"name": "disc-defect-identity", "pass": good == trials,
-               "detail": f"{good}/{trials}"}]
-    return {"trials": trials, "identity": good}, checks
+    return _sampled_check(
+        ctx, inputs, args,
+        lambda space, rng: disc_defect(
+            random_based_triple(space, rng)).is_identity(),
+        "disc-defect-identity", "identity")
 
 
 def cmd_reduced_check(ctx, inputs, args):
-    space = _space(ctx, inputs)
-    trials = args.trials
-    good = 0
-    for i in range(trials):
-        bt = random_based_triple(space, rng_for(args.seed, i))
-        if reduced_maslov(bt).in_II():
-            good += 1
-    checks = [{"name": "reduced-in-II", "pass": good == trials,
-               "detail": f"{good}/{trials}"}]
-    return {"trials": trials, "in_II": good}, checks
+    return _sampled_check(
+        ctx, inputs, args,
+        lambda space, rng: reduced_maslov(
+            random_based_triple(space, rng)).in_II(),
+        "reduced-in-II", "in_II")
 
 
 def _det_one_matrices(ctx, rng):

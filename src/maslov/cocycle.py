@@ -36,7 +36,7 @@ from .lagrange import (
     w_element,
 )
 from .linalg import Matrix
-from .witt import SHatElement, WittClass, witt_class
+from .witt import SHatElement, WittClass, signed_discriminant, witt_class
 
 
 def maslov(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> WittClass:
@@ -139,32 +139,29 @@ def tau(g: UnitaryElement, h: UnitaryElement,
 
 
 def _edge_det(v: BasedLagrangian, w: BasedLagrangian):
-    """det(-a b^J) for the base-change witnesses (a, b) of a directed
+    """det(-eps a b^J) for the base-change witnesses (a, b) of a directed
     opposite based edge, read in the frame of the underlying pair.
 
     The frame ambiguity is a Levi element, which changes (a, b) by
     (l a, l^{-J} b) and leaves the determinant unchanged.
     """
+    ctx = v.space.ctx
     frame = PairFrame(v.lagrangian, w.lagrangian)
     a = frame.top * v.basis
     b = frame.bot * w.basis
-    return (-(a * b.jt())).det()
+    return (a * b.jt()).scale(ctx.from_int(-ctx.epsilon)).det()
 
 
 def based_cochain_f(v: BasedLagrangian, w: BasedLagrangian) -> SHatElement:
     """Extended square class of a directed based edge:
-    (det(-a b^J) (-1)^{n(n-1)/2} N, (-1)^n).  Alternating: the value of the
-    reversed edge is the inverse."""
-    ctx = v.space.ctx
-    n = v.space.n
-    s = _edge_det(v, w)
-    if (n * (n - 1) // 2) % 2:
-        s = -s
-    return SHatElement(ctx, s, (-1) ** n)
+    (det(-eps a b^J) (-1)^{n(n-1)/2} N, (-1)^n).  Alternating: the value of
+    the reversed edge is the inverse."""
+    return signed_discriminant(v.space.ctx, v.space.n, (_edge_det(v, w),))
 
 
 def _edge_det_form(v: BasedLagrangian, w: BasedLagrangian) -> WittClass:
     # the Witt-group lift <det(-a b^J), 1, ..., 1> of the edge cochain
+    # (symplectic only, so eps = 1)
     ctx = v.space.ctx
     n = v.space.n
     return witt_class(FormMatrix.diagonal(
@@ -215,11 +212,18 @@ class BasedTriple:
 
 
 def disc_defect(bt: BasedTriple) -> SHatElement:
-    """Signed discriminant of the cocycle minus the cyclic edge sum of the
-    based cochain; the reduction identity makes this the identity element
-    for every choice of bases."""
-    l0, l1, l2 = bt.lagrangians()
-    total = maslov(l0, l1, l2).signed_disc()
+    """Signed discriminant of the triple invariant t minus the cyclic edge
+    sum of the based cochain; the reduction identity makes this the
+    identity element for every choice of bases.
+
+    The signed discriminant is read from det(t) itself.  For eps = +1 this
+    is the signed discriminant of the cocycle's Witt class; for eps = -1 it
+    is not, since that class's representative is empty (trivial
+    involution) or scaled by a trace-zero unit.
+    """
+    space = bt.v0.space
+    total = signed_discriminant(space.ctx, space.n,
+                                (kappa(*bt.lagrangians()).det(),))
     cyc = (based_cochain_f(bt.v0, bt.v1) + based_cochain_f(bt.v1, bt.v2)
            + based_cochain_f(bt.v2, bt.v0))
     return total - cyc

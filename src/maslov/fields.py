@@ -7,8 +7,9 @@ Four kinds of base field are supported, each with its involution J:
   * Fp2     -- the field of order p^2, J = Frobenius x -> x^p
   * QSqrt   -- a quadratic extension Q(sqrt(d)), J the conjugation
 
-Characteristic 2 is excluded by construction.  Scalars are immutable and
-hashable; arithmetic is exact everywhere.
+Characteristic 2 is excluded by construction.  Each field has one
+arithmetic kernel on raw values; its scalars are Fractions over Q and
+``Scalar`` objects over the other kinds, immutable, hashable and exact.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -138,287 +140,105 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-class FpElt:
-    """Residue in the prime field F_p, stored in [0, p)."""
+def _dunder(op, reflected=False):
+    # the Scalar operator computing the kernel's op on the raw values
+    def method(self, other):
+        x = self._lift(other)
+        if x is NotImplemented:
+            return NotImplemented
+        f = getattr(self.k, op)
+        return Scalar(self.k, f(x, self.raw) if reflected else f(self.raw, x))
+    return method
 
-    __slots__ = ("p", "v")
 
-    def __init__(self, p, v):
-        self.p = p
-        self.v = v % p
+class Scalar:
+    """An element of F_p, F_{p^2} or Q(sqrt(d)), held as a raw value of its
+    field's kernel (``FieldCtx.kernel``); every operation is the kernel's.
 
-    def _lift(self, other):
-        if isinstance(other, FpElt):
-            if other.p != self.p:
-                raise ValidationError("mixed prime fields")
-            return other.v
-        if isinstance(other, int):
-            return other % self.p
+    Ints, and over Q(sqrt(d)) Fractions, enter arithmetic as elements of
+    the field; a scalar of another field raises ValidationError.  Over Q
+    the scalars are Fractions themselves.
+    """
+
+    __slots__ = ("k", "raw")
+
+    def __init__(self, k, raw):
+        self.k, self.raw = k, raw
+
+    def _lift(self, x):
+        if type(x) is Scalar and x.k is self.k:
+            return x.raw
+        # NotImplemented lets Python try the other operand
+        if isinstance(x, Scalar) or isinstance(x, self.k.rationals):
+            return self.k.unwrap(x)
         return NotImplemented
 
-    def __add__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElt(self.p, self.v + w)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElt(self.p, self.v - w)
-
-    def __rsub__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElt(self.p, w - self.v)
-
-    def __mul__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElt(self.p, self.v * w)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        if w == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElt(self.p, self.v * pow(w, self.p - 2, self.p))
-
-    def __rtruediv__(self, other):
-        w = self._lift(other)
-        if self.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElt(self.p, w * pow(self.v, self.p - 2, self.p))
+    __add__ = __radd__ = _dunder("add")
+    __sub__, __rsub__ = _dunder("sub"), _dunder("sub", True)
+    __mul__ = __rmul__ = _dunder("mul")
+    __truediv__, __rtruediv__ = _dunder("div"), _dunder("div", True)
 
     def __neg__(self):
-        return FpElt(self.p, -self.v)
+        return Scalar(self.k, self.k.neg(self.raw))
 
     def __eq__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return self.v == w
+        x = self._lift(other)
+        return x if x is NotImplemented else self.raw == x
 
     def __hash__(self):
-        return hash(("Fp", self.p, self.v))
+        return hash((self.k, self.raw))
 
     def __bool__(self):
-        return self.v != 0
+        return self.raw != self.k.zero
 
     def __repr__(self):
-        return f"{self.v}"
-
-
-class Fp2Elt:
-    """Element a + b*w of F_{p^2}, where w^2 = nu is a fixed non-residue."""
-
-    __slots__ = ("p", "nu", "a", "b")
-
-    def __init__(self, p, nu, a, b):
-        self.p = p
-        self.nu = nu
-        self.a = a % p
-        self.b = b % p
-
-    def _lift(self, other):
-        if isinstance(other, Fp2Elt):
-            if other.p != self.p:
-                raise ValidationError("mixed fields")
-            return other
-        if isinstance(other, int):
-            return Fp2Elt(self.p, self.nu, other, 0)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fp2Elt(self.p, self.nu, self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fp2Elt(self.p, self.nu, self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fp2Elt(
-            self.p,
-            self.nu,
-            self.a * o.a + self.b * o.b * self.nu,
-            self.a * o.b + self.b * o.a,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        n = (self.a * self.a - self.nu * self.b * self.b) % self.p
-        if n == 0:
-            raise ZeroDivisionError("division by zero in F_{p^2}")
-        ninv = pow(n, self.p - 2, self.p)
-        return Fp2Elt(self.p, self.nu, self.a * ninv, -self.b * ninv)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return o * self.inverse()
-
-    def __neg__(self):
-        return Fp2Elt(self.p, self.nu, -self.a, -self.b)
-
-    def conj(self):
-        # Frobenius x -> x^p; since w^p = -w this is b -> -b.
-        return Fp2Elt(self.p, self.nu, self.a, -self.b)
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash(("Fp2", self.p, self.a, self.b))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"{self.a}"
-        return f"{self.a}+{self.b}w"
-
-
-class QuadElt:
-    """Element a + b*sqrt(d) of Q(sqrt(d)) with exact rational parts."""
-
-    __slots__ = ("d", "a", "b")
-
-    def __init__(self, d, a, b):
-        self.d = d
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def _lift(self, other):
-        if isinstance(other, QuadElt):
-            if other.d != self.d:
-                raise ValidationError("mixed quadratic fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElt(self.d, other, 0)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadElt(self.d, self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadElt(self.d, self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadElt(
-            self.d,
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        n = self.a * self.a - self.d * self.b * self.b
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return QuadElt(self.d, self.a / n, -self.b / n)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return o * self.inverse()
-
-    def __neg__(self):
-        return QuadElt(self.d, -self.a, -self.b)
-
-    def conj(self):
-        return QuadElt(self.d, self.a, -self.b)
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash(("QuadExt", self.d, self.a, self.b))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"{self.a}"
-        return f"{self.a}+{self.b}*sqrt({self.d})"
+        return self.k.show(self.raw)
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic kernels: one per context, on the raw values matrices hold.
-# Each has zero, one, wrap (raw -> scalar), unwrap (scalar or int -> raw;
-# entries of another field raise), conj, neg, add, sub, mul, inv and, on
-# rows u and v of raw values, dot(u, v), axpy(u, f, v) = u - f v and
-# scale(u, c) = u c.
+# Arithmetic kernels: one per field, on the raw values scalars and matrices
+# hold.  Each has name (the field in FieldCtx's repr), zero, one, wrap (raw
+# -> scalar), unwrap (scalar or int -> raw; elements of another field
+# raise), conj, neg, add, sub, mul, inv and, on rows u and v of raw values,
+# dot(u, v), axpy(u, f, v) = u - f v and scale(u, c) = u c.  The kernels
+# behind ``Scalar`` add div and show (raw -> repr), the quadratic ones gen.
 
 
-class _FpKernel:
+class _Kernel:
+    """What the kernels whose scalars are ``Scalar`` share: ``embed`` maps
+    the rationals of type ``rationals`` to raw values."""
+
+    rationals = (int,)
+
+    def wrap(self, raw):
+        return Scalar(self, raw)
+
+    def div(self, a, b):
+        if b == self.zero:
+            raise ZeroDivisionError(f"division by zero in {self.name}")
+        return self.mul(a, self.inv(b))
+
+    def unwrap(self, x):
+        if type(x) is Scalar and x.k is self:
+            return x.raw
+        if isinstance(x, self.rationals):
+            return self.embed(x)
+        raise ValidationError(f"{x!r} is not an element of {self.name}")
+
+    def show(self, v):
+        # a + b gen for the quadratic kinds, gen printed as ``gen_name``
+        a, b = v
+        return f"{a}" if b == 0 else f"{a}+{b}{self.gen_name}"
+
+
+class _FpKernel(_Kernel):
     """F_p on ints in [0, p); a dot product reduces once."""
 
     zero, one = 0, 1
 
     def __init__(self, p):
-        self.p = p
-        self.wrap = lambda a: FpElt(p, a)
+        self.p, self.name, self.show = p, f"F{p}", str
+        self.embed = lambda n: n % p
         self.conj = lambda a: a
         self.neg = lambda a: -a % p
         self.add = lambda a, b: (a + b) % p
@@ -429,34 +249,26 @@ class _FpKernel:
         self.axpy = lambda u, f, v: [(a - f * b) % p for a, b in zip(u, v)]
         self.scale = lambda u, c: [a * c % p for a in u]
 
-    def unwrap(self, x):
-        if type(x) is FpElt and x.p == self.p:
-            return x.v
-        if isinstance(x, int):
-            return x % self.p
-        raise ValidationError(f"entry {x!r} is not in F_{self.p}")
 
+class _Fp2Kernel(_Kernel):
+    """F_{p^2} on int pairs (a, b) for a + b w, w^2 = nu, reduced mod p;
+    nu is the least non-residue mod p."""
 
-class _Fp2Kernel:
-    """F_{p^2} on int pairs (a, b) for a + b w, w^2 = nu, reduced mod p."""
+    zero, one, gen = (0, 0), (1, 0), (0, 1)
 
-    zero, one = (0, 0), (1, 0)
-
-    def __init__(self, p, nu):
-        self.p, self.nu = p, nu
-        self.wrap = lambda v: Fp2Elt(p, nu, *v)
+    def __init__(self, p):
+        self.p, self.name, self.gen_name = p, f"F{p}^2", "w"
+        self.nu = FieldCtx._least_nonresidue(p)
+        self.embed = lambda n: (n % p, 0)
+        # Frobenius x -> x^p; since w^p = -w this is b -> -b
         self.conj = lambda v: (v[0], -v[1] % p)
         self.neg = lambda v: (-v[0] % p, -v[1] % p)
         self.add = lambda u, v: ((u[0] + v[0]) % p, (u[1] + v[1]) % p)
         self.sub = lambda u, v: ((u[0] - v[0]) % p, (u[1] - v[1]) % p)
-        self.mul = lambda u, v: self.scale((u,), v)[0]
 
-    def unwrap(self, x):
-        if type(x) is Fp2Elt and x.p == self.p:
-            return (x.a, x.b)
-        if isinstance(x, int):
-            return (x % self.p, 0)
-        raise ValidationError(f"entry {x!r} is not in F_{self.p}^2")
+    def mul(self, u, v):
+        (a, b), (c, d), p = u, v, self.p
+        return ((a * c + self.nu * b * d) % p, (a * d + b * c) % p)
 
     def inv(self, v):
         (a, b), p = v, self.p
@@ -483,30 +295,88 @@ class _Fp2Kernel:
         return [((a * c + b * dn) % p, (a * d + b * c) % p) for a, b in u]
 
 
-class _ScalarKernel:
-    """Q and Q(sqrt(d)): the raw value is the scalar itself, so matrix
-    loops do exactly what they did on scalars."""
+_F0, _F1 = Fraction(0), Fraction(1)
 
+
+class _QuadKernel(_Kernel):
+    """Q(sqrt(d)) on Fraction pairs (a, b) for a + b sqrt(d)."""
+
+    rationals = (int, Fraction)
+    zero, one, gen = (_F0, _F0), (_F1, _F0), (_F0, _F1)
+
+    def __init__(self, d):
+        self.d, self.name = d, f"Q(sqrt({d}))"
+        self.gen_name = f"*sqrt({d})"
+        self.embed = lambda q: (Fraction(q), _F0)
+        self.conj = lambda v: (v[0], -v[1])
+        self.neg = lambda v: (-v[0], -v[1])
+        self.add = lambda u, v: (u[0] + v[0], u[1] + v[1])
+        self.sub = lambda u, v: (u[0] - v[0], u[1] - v[1])
+
+    def mul(self, u, v):
+        (a, b), (c, e) = u, v
+        return (a * c + self.d * b * e, a * e + b * c)
+
+    def inv(self, v):
+        a, b = v
+        n = a * a - self.d * b * b
+        return (a / n, -b / n)
+
+    def dot(self, u, v):
+        re = im = dd = _F0
+        for (a, b), (c, e) in zip(u, v):
+            re += a * c
+            dd += b * e
+            im += a * e + b * c
+        return (re + self.d * dd, im)
+
+    def axpy(self, u, f, v):
+        c, e = f
+        ed = e * self.d
+        return [(a - c * x - ed * y, b - c * y - e * x)
+                for (a, b), (x, y) in zip(u, v)]
+
+    def scale(self, u, f):
+        c, e = f
+        ed = e * self.d
+        return [(a * c + b * ed, a * e + b * c) for a, b in u]
+
+
+class _ScalarKernel:
+    """Q on Fractions: the raw value is the scalar itself."""
+
+    name, zero, one = "Q", _F0, _F1
     neg, add, sub, mul = operator.neg, operator.add, operator.sub, operator.mul
 
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.zero, self.one = ctx.from_rational(0), ctx.from_rational(1)
-        self.wrap, self.conj = (lambda a: a), ctx.involution
-        self.inv = lambda a: self.one / a
+    def __init__(self):
+        self.wrap = self.conj = lambda a: a
+        self.inv = lambda a: 1 / a
         self.axpy = lambda u, f, v: [a - f * b for a, b in zip(u, v)]
         self.scale = lambda u, c: [a * c for a in u]
 
-    def unwrap(self, x):
-        if type(x) is type(self.one) and getattr(x, "d", None) == self.ctx.d:
+    @staticmethod
+    def unwrap(x):
+        if type(x) is Fraction:
             return x
         if isinstance(x, (int, Fraction)):
-            return self.ctx.from_rational(x)
-        raise ValidationError(f"{x!r} is not an element of {self.ctx!r}")
+            return Fraction(x)
+        raise ValidationError(f"{x!r} is not an element of Q")
 
     @staticmethod
     def dot(u, v):
         return sum(map(operator.mul, u[1:], v[1:]), u[0] * v[0])
+
+
+_KERNELS = weakref.WeakValueDictionary()
+
+
+def _kernel(make, *args):
+    """The one kernel make(*args), shared by every context over its field
+    while any of them or of its scalars lives: a same-field test is ``is``."""
+    k = _KERNELS.get((make,) + args)
+    if k is None:
+        k = _KERNELS[(make,) + args] = make(*args)
+    return k
 
 
 class FieldCtx:
@@ -527,25 +397,21 @@ class FieldCtx:
         self.p = p
         self.d = d
         self.epsilon = epsilon
-        if kind == "Q":
-            self.kernel = _ScalarKernel(self)
-        elif kind == "Fp":
+        if kind in ("Fp", "Fp2"):
             if p is None or not is_prime(p) or p == 2:
-                raise ValidationError("Fp needs an odd prime p")
-            self.kernel = _FpKernel(p)
-        elif kind == "Fp2":
-            if p is None or not is_prime(p) or p == 2:
-                raise ValidationError("Fp2 needs an odd prime p")
-            self.nu = self._least_nonresidue(p)
-            self.kernel = _Fp2Kernel(p, self.nu)
+                raise ValidationError(f"{kind} needs an odd prime p")
+            make, args = (_FpKernel if kind == "Fp" else _Fp2Kernel), (p,)
         elif kind == "QSqrt":
             if d is None or d == 0 or d == 1:
                 raise ValidationError("QSqrt needs a squarefree d != 0, 1")
             if any(e > 1 for e in factorize(d).values()):
                 raise ValidationError("d must be squarefree")
-            self.kernel = _ScalarKernel(self)
+            make, args = _QuadKernel, (d,)
+        elif kind == "Q":
+            make, args = _ScalarKernel, ()
         else:
             raise ValidationError(f"unknown field kind {kind!r}")
+        self.kernel = _kernel(make, *args)
 
     @staticmethod
     def _least_nonresidue(p: int) -> int:
@@ -582,15 +448,7 @@ class FieldCtx:
         return hash(self._key())
 
     def __repr__(self):
-        if self.kind == "Q":
-            body = "Q"
-        elif self.kind == "Fp":
-            body = f"F{self.p}"
-        elif self.kind == "Fp2":
-            body = f"F{self.p}^2"
-        else:
-            body = f"Q(sqrt({self.d}))"
-        return f"FieldCtx({body}, eps={self.epsilon:+d})"
+        return f"FieldCtx({self.kernel.name}, eps={self.epsilon:+d})"
 
     # -- elements ------------------------------------------------------
 
@@ -605,33 +463,29 @@ class FieldCtx:
 
     def from_rational(self, q):
         q = Fraction(q)
-        if self.kind == "Q":
-            return q
-        if self.kind == "QSqrt":
-            return QuadElt(self.d, q, 0)
-        if q.denominator == 1:
-            return self.from_int(q.numerator)
-        return self.from_int(q.numerator) / self.from_int(q.denominator)
+        if self.is_finite:
+            return self.from_int(q.numerator) / self.from_int(q.denominator)
+        return self.kernel.wrap(self.kernel.unwrap(q))
 
     def generator(self):
         """sqrt(d) resp. w; only for the quadratic kinds."""
-        if self.kind == "Fp2":
-            return Fp2Elt(self.p, self.nu, 0, 1)
-        if self.kind == "QSqrt":
-            return QuadElt(self.d, 0, 1)
+        if self.kind in ("Fp2", "QSqrt"):
+            return self.kernel.wrap(self.kernel.gen)
         raise ValidationError("base field has no quadratic generator")
 
     def involution(self, x):
-        return x if self.has_trivial_involution else x.conj()
+        k = self.kernel
+        return k.wrap(k.conj(k.unwrap(x)))
 
     def fixed_rational(self, x) -> Fraction:
         """The J-fixed scalar x as an exact rational (Fp maps to a lift)."""
         if self.kind == "Q":
             return Fraction(x)
         if self.kind == "QSqrt":
-            if x.b != 0:
+            a, b = self.kernel.unwrap(x)
+            if b != 0:
                 raise ValidationError("scalar is not in the fixed field")
-            return x.a
+            return a
         raise ValidationError("no canonical rational lift for finite fields")
 
     def elements(self):
@@ -651,15 +505,14 @@ class FieldCtx:
         if self.kind == "Q":
             return Fraction(rng.randint(-span, span), rng.randint(1, 3))
         if self.kind == "Fp":
-            return FpElt(self.p, rng.randrange(self.p))
+            return self.kernel.wrap(rng.randrange(self.p))
         if self.kind == "Fp2":
-            return Fp2Elt(self.p, self.nu, rng.randrange(self.p),
-                          rng.randrange(self.p))
-        return QuadElt(
-            self.d,
+            return self.kernel.wrap((rng.randrange(self.p),
+                                     rng.randrange(self.p)))
+        return self.kernel.wrap((
             Fraction(rng.randint(-span, span), rng.randint(1, 3)),
             Fraction(rng.randint(-span, span), rng.randint(1, 3)),
-        )
+        ))
 
     def random_nonzero(self, rng, span: int = 5):
         while True:
@@ -678,20 +531,20 @@ class FieldCtx:
                 if self.kind == "Fp2":
                     if a.denominator != 1 or b.denominator != 1:
                         raise ParseError("F_{p^2} components must be integers")
-                    return Fp2Elt(self.p, self.nu, a.numerator, b.numerator)
+                    return self.kernel.wrap((a.numerator % self.p,
+                                             b.numerator % self.p))
                 if self.kind == "QSqrt":
-                    return QuadElt(self.d, a, b)
+                    return self.kernel.wrap((a, b))
                 raise ParseError(f"pair scalar invalid for field {self.kind}")
             return self.from_rational(Fraction(str(v)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad scalar {v!r}: {exc}") from exc
 
     def scalar_to_json(self, x):
-        if self.kind == "Q":
-            return str(x)
-        if self.kind == "Fp":
-            return str(x.v)
-        return [str(x.a), str(x.b)]
+        raw = self.kernel.unwrap(x)
+        if self.kind in ("Fp2", "QSqrt"):
+            return [str(v) for v in raw]
+        return str(raw)
 
 
 def norm_subgroup_class(ctx: FieldCtx, x):

@@ -50,11 +50,6 @@ class FormMatrix:
     def diagonal(ctx, entries, eps=1):
         return FormMatrix(ctx, Matrix.diagonal(ctx, list(entries)), eps)
 
-    @staticmethod
-    def diagonal_rational(ctx, entries, eps=1):
-        return FormMatrix.diagonal(
-            ctx, [ctx.from_rational(e) for e in entries], eps)
-
     @property
     def dim(self):
         return self.mat.n
@@ -64,14 +59,6 @@ class FormMatrix:
 
     def det(self):
         return self.mat.det()
-
-    def direct_sum(self, other):
-        if self.ctx != other.ctx or self.eps != other.eps:
-            raise ValidationError("direct sum needs matching contexts")
-        z1 = Matrix.zeros(self.ctx, self.dim, other.dim)
-        z2 = Matrix.zeros(self.ctx, other.dim, self.dim)
-        return FormMatrix(
-            self.ctx, Matrix.block2(self.mat, z1, z2, other.mat), self.eps)
 
     def neg(self):
         return FormMatrix(self.ctx, -self.mat, self.eps)

@@ -364,11 +364,13 @@ class PairFrame:
         """The invariant t of (x, y, z): z in this frame is the graph of t."""
         if z.space != self.space:
             raise SpaceMismatch("Lagrangians from different spaces")
-        bot = self.bot * z.basis
-        if not bot.is_invertible():
+        try:
+            inv = (self.bot * z.basis).inverse()
+        except SingularInput as exc:
             raise NotPairwiseOpposite(
-                "third Lagrangian is not opposite the first")
-        t = self.top * z.basis * bot.inverse()
+                "third Lagrangian is not opposite the first") from exc
+        # the determinant is cached on t, so isometry_key reuses it
+        t = self.top * z.basis * inv
         if not t.is_invertible():
             raise NotPairwiseOpposite(
                 "third Lagrangian is not opposite the second")

@@ -42,13 +42,13 @@ def _gauss_jordan(k, a):
 
 
 class Matrix:
-    __slots__ = ("ctx", "raw", "m", "n", "_rows")
+    __slots__ = ("ctx", "raw", "m", "n", "_rows", "_det")
 
     def __init__(self, ctx: FieldCtx, rows):
         raw = tuple(tuple(map(ctx.kernel.unwrap, r)) for r in rows)
         if raw and any(len(r) != len(raw[0]) for r in raw):
             raise ValidationError("ragged matrix")
-        self.ctx, self.raw, self._rows = ctx, raw, None
+        self.ctx, self.raw, self._rows, self._det = ctx, raw, None, None
         self.m, self.n = len(raw), len(raw[0]) if raw else 0
 
     @classmethod
@@ -56,7 +56,7 @@ class Matrix:
         """Trusted constructor for closed operations: raw is a tuple of
         equal-length rows of ctx's raw values, taken as it is."""
         out = cls.__new__(cls)
-        out.ctx, out.raw, out._rows = ctx, raw, None
+        out.ctx, out.raw, out._rows, out._det = ctx, raw, None, None
         out.m, out.n = len(raw), len(raw[0]) if raw else 0
         return out
 
@@ -179,6 +179,12 @@ class Matrix:
     # -- eliminations ---------------------------------------------------
 
     def det(self):
+        """The determinant, computed once per matrix."""
+        if self._det is None:
+            self._det = self.ctx.kernel.wrap(self._eliminate_det())
+        return self._det
+
+    def _eliminate_det(self):
         if self.m != self.n:
             raise DimensionMismatch("determinant of a non-square matrix")
         k = self.ctx.kernel
@@ -193,7 +199,7 @@ class Matrix:
                     piv = i
                     break
             if piv is None:
-                return k.wrap(zero)
+                return zero
             if piv != c:
                 a[c], a[piv] = a[piv], a[c]
                 det = k.neg(det)
@@ -202,7 +208,7 @@ class Matrix:
             for i in range(c + 1, n):
                 if a[i][c] != zero:
                     a[i] = k.axpy(a[i], k.mul(a[i][c], inv), a[c])
-        return k.wrap(det)
+        return det
 
     def is_invertible(self):
         return self.m == self.n and bool(self.det())

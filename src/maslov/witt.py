@@ -16,11 +16,12 @@ Norm classes, and with them the extended square-class group S^, are
 decided the same way by ``_norm_class``, from unmultiplied factors.
 
 Hilbert symbols and Hasse invariants serve only the reported ``hasse``
-field, the ``hilbert`` command and the local oracles.
+field, the ``hilbert`` command and the local oracles of the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -35,8 +36,6 @@ from .errors import (
 from .fields import (
     INF,
     FieldCtx,
-    Fp2Elt,
-    QuadElt,
     factorize,
     is_prime,
     legendre,
@@ -113,49 +112,6 @@ def relevant_places(entries):
     return sorted(places) + [INF]
 
 
-def p_adic_square_class(q, p: int):
-    """Square class of a nonzero rational in Q_p, as (valuation mod 2, unit
-    residue class); four classes for odd p."""
-    q = Fraction(q)
-    if q == 0:
-        raise ZeroInput("0 has no square class")
-    s = squarefree_part(q)
-    sign = 1 if s > 0 else -1
-    v, u = _val_unit(abs(s), p)
-    u *= sign
-    if p == 2:
-        return (v % 2, u % 8)
-    return (v % 2, legendre(u % p, p))
-
-
-def local_hyperbolic_hasse(dim: int, place) -> int:
-    """Hasse invariant of the split form <1,-1,...,1,-1> of the given even
-    dimension at the given place."""
-    m = dim // 2
-    pairs = m * (m - 1) // 2
-    minus = hilbert_symbol(-1, -1, place)
-    return minus if pairs % 2 else 1
-
-
-def local_witt_is_zero(entries, place) -> bool:
-    """Is the rational diagonal form Witt-trivial over the completion?"""
-    entries = [Fraction(e) for e in entries]
-    n = len(entries)
-    if n % 2:
-        return False
-    m = n // 2
-    if place == INF:
-        return sum(1 if e > 0 else -1 for e in entries) == 0
-    det = Fraction(1)
-    for e in entries:
-        det *= e
-    if p_adic_square_class(det, place) != p_adic_square_class(
-            Fraction((-1) ** m), place):
-        return False
-    return hasse_invariant(entries, place) == local_hyperbolic_hasse(
-        n, place)
-
-
 # ---------------------------------------------------------------------------
 # The Witt key
 
@@ -218,7 +174,7 @@ def _witt_key(ctx: FieldCtx, eps: int, entries):
     if ctx.kind == "Fp":
         det = 1
         for e in entries:
-            det = det * e.v % ctx.p
+            det = det * e.raw % ctx.p
         return _fp_key(ctx.p, len(entries), det)
     if ctx.kind == "Fp2":
         return len(entries) % 2
@@ -253,20 +209,22 @@ def _norm_class(ctx: FieldCtx, factors):
     non-rational factors over Q(sqrt d) are multiplied out.
     """
     if ctx.kind == "Fp":
-        if legendre(math.prod(f.v for f in factors), ctx.p) == 1:
+        if legendre(math.prod(f.raw for f in factors), ctx.p) == 1:
             return 1, ctx.one()
         return -1, ctx.from_int(ctx._least_nonresidue(ctx.p))
+    k = ctx.kernel
     if ctx.kind == "Fp2":
-        prod = math.prod(factors, start=ctx.one())
-        if prod.a == 0:
+        a, b = functools.reduce(k.mul, (f.raw for f in factors), k.one)
+        if a == 0:
             return None, ctx.generator()
-        ratio = prod.b * pow(prod.a, ctx.p - 2, ctx.p) % ctx.p
-        return ratio, Fp2Elt(ctx.p, ctx.nu, 1, ratio)
+        ratio = b * pow(a, ctx.p - 2, ctx.p) % ctx.p
+        return ratio, k.wrap((1, ratio))
     t, rational = None, factors
     if ctx.kind == "QSqrt":
-        prod = math.prod((f for f in factors if f.b), start=ctx.one())
-        t = prod.a / prod.b if prod.b else None
-        rational = [f.a for f in factors if not f.b] + [prod.b or prod.a]
+        raws = [f.raw for f in factors]
+        a, b = functools.reduce(k.mul, (r for r in raws if r[1]), k.one)
+        t = a / b if b else None
+        rational = [r[0] for r in raws if not r[1]] + [b or a]
     sign, odd = 1, frozenset()
     for q in rational:
         s, primes = _square_class(q)
@@ -278,8 +236,8 @@ def _norm_class(ctx: FieldCtx, factors):
     sign_d, primes_d = _square_class(-ctx.d)
     key = _rational_key([(sign, odd), (sign * sign_d, odd ^ primes_d)])
     if t is None:
-        return (None, key), QuadElt(ctx.d, lam, 0)
-    return (t, key), QuadElt(ctx.d, lam * t, lam)
+        return (None, key), ctx.from_rational(lam)
+    return (t, key), k.wrap((lam * t, Fraction(lam)))
 
 
 class NormClassRep:
@@ -378,15 +336,19 @@ class SHatElement:
         return hash((self.ctx, self.sign, self.s))
 
     def to_json(self):
-        rep = self.s.rep
-        if self.ctx.kind == "Q":
-            srep = str(rep)
-        else:
-            srep = self.ctx.scalar_to_json(rep)
-        return {"s": srep, "sign": self.sign}
+        return {"s": self.ctx.scalar_to_json(self.s.rep), "sign": self.sign}
 
     def __repr__(self):
         return f"({self.s.rep!r}, {self.sign:+d})"
+
+
+def signed_discriminant(ctx: FieldCtx, n: int, factors) -> SHatElement:
+    """(prod(factors) (-1)^{n(n-1)/2} N, (-1)^n), the signed discriminant of
+    an n-dimensional form whose determinant is the product of the factors;
+    they stay unmultiplied."""
+    if (n * (n - 1) // 2) % 2:
+        factors = tuple(factors) + (-ctx.one(),)
+    return SHatElement(ctx, NormClassRep(ctx, factors), (-1) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +360,8 @@ def _normalize_entry(ctx, e):
     # keeping entries squarefree bounds all later arithmetic
     if ctx.kind == "Q" and e:
         return Fraction(squarefree_part(e))
-    if ctx.kind == "QSqrt" and e and e.b == 0:
-        return QuadElt(ctx.d, squarefree_part(e.a), 0)
+    if ctx.kind == "QSqrt" and e and e.raw[1] == 0:
+        return ctx.from_rational(squarefree_part(e.raw[0]))
     return e
 
 
@@ -485,12 +447,7 @@ class WittClass:
 
     def signed_disc(self) -> SHatElement:
         """(det (-1)^{n(n-1)/2} N, (-1)^n); the entries stay unmultiplied."""
-        n = len(self.diag)
-        factors = self.diag
-        if (n * (n - 1) // 2) % 2:
-            factors += (-self.ctx.one(),)
-        return SHatElement(self.ctx, NormClassRep(self.ctx, factors),
-                           (-1) ** n)
+        return signed_discriminant(self.ctx, len(self.diag), self.diag)
 
     def in_II(self) -> bool:
         return self.signed_disc().is_identity()
@@ -560,21 +517,3 @@ def trace_transfer(h: WittClass) -> WittClass:
     for a in h.rational_entries():
         entries += [a, minus_d * a]
     return WittClass(FieldCtx("Q", epsilon=1), entries, eps=1)
-
-
-def local_invariant_tuples(p: int):
-    """All (dim mod 2, square class of det, Hasse) tuples realized by
-    diagonal forms over Q_p with entries drawn from {1, u, p, u p}."""
-    u = FieldCtx("Fp", p=p)._least_nonresidue(p)
-    gens = [Fraction(1), Fraction(u), Fraction(p), Fraction(u * p)]
-    seen = set()
-    import itertools
-
-    for dim in range(1, 5):
-        for combo in itertools.combinations_with_replacement(gens, dim):
-            det = Fraction(1)
-            for e in combo:
-                det *= e
-            seen.add((dim % 2, p_adic_square_class(det, p),
-                      hasse_invariant(combo, p)))
-    return seen

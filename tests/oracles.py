@@ -1,0 +1,168 @@
+"""Independent oracles and helpers that only the tests use.
+
+* The local Hasse-Minkowski oracles: p-adic square classes, the Hasse
+  invariant of the split form, local Witt triviality and the realizable
+  local invariant tuples.
+* Scalar arithmetic written as plain formulas: ints mod p, int pairs mod p
+  with w^2 = nu, and Fraction pairs with w^2 = d.  They share no code with
+  the field kernels they check.
+* Form constructors: diagonal forms from rationals and direct sums.
+"""
+
+import itertools
+from fractions import Fraction
+
+from maslov.errors import ValidationError, ZeroInput
+from maslov.fields import INF, FieldCtx, legendre, squarefree_part
+from maslov.forms import FormMatrix, hasse_invariant
+from maslov.linalg import Matrix
+from maslov.witt import _val_unit, hilbert_symbol
+
+
+# ---------------------------------------------------------------------------
+# Local Hasse-Minkowski oracles
+
+
+def p_adic_square_class(q, p: int):
+    """Square class of a nonzero rational in Q_p, as (valuation mod 2, unit
+    residue class); four classes for odd p."""
+    q = Fraction(q)
+    if q == 0:
+        raise ZeroInput("0 has no square class")
+    s = squarefree_part(q)
+    sign = 1 if s > 0 else -1
+    v, u = _val_unit(abs(s), p)
+    u *= sign
+    if p == 2:
+        return (v % 2, u % 8)
+    return (v % 2, legendre(u % p, p))
+
+
+def local_hyperbolic_hasse(dim: int, place) -> int:
+    """Hasse invariant of the split form <1,-1,...,1,-1> of the given even
+    dimension at the given place."""
+    m = dim // 2
+    pairs = m * (m - 1) // 2
+    minus = hilbert_symbol(-1, -1, place)
+    return minus if pairs % 2 else 1
+
+
+def local_witt_is_zero(entries, place) -> bool:
+    """Is the rational diagonal form Witt-trivial over the completion?"""
+    entries = [Fraction(e) for e in entries]
+    n = len(entries)
+    if n % 2:
+        return False
+    m = n // 2
+    if place == INF:
+        return sum(1 if e > 0 else -1 for e in entries) == 0
+    det = Fraction(1)
+    for e in entries:
+        det *= e
+    if p_adic_square_class(det, place) != p_adic_square_class(
+            Fraction((-1) ** m), place):
+        return False
+    return hasse_invariant(entries, place) == local_hyperbolic_hasse(
+        n, place)
+
+
+def local_invariant_tuples(p: int):
+    """All (dim mod 2, square class of det, Hasse) tuples realized by
+    diagonal forms over Q_p with entries drawn from {1, u, p, u p}."""
+    u = FieldCtx("Fp", p=p)._least_nonresidue(p)
+    gens = [Fraction(1), Fraction(u), Fraction(p), Fraction(u * p)]
+    seen = set()
+    for dim in range(1, 5):
+        for combo in itertools.combinations_with_replacement(gens, dim):
+            det = Fraction(1)
+            for e in combo:
+                det *= e
+            seen.add((dim % 2, p_adic_square_class(det, p),
+                      hasse_invariant(combo, p)))
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# Scalar arithmetic as plain formulas
+
+
+class PrimeFieldOracle:
+    """F_p on ints in [0, p)."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def add(self, x, y):
+        return (x + y) % self.p
+
+    def sub(self, x, y):
+        return (x - y) % self.p
+
+    def mul(self, x, y):
+        return x * y % self.p
+
+    def neg(self, x):
+        return -x % self.p
+
+    def conj(self, x):
+        return x
+
+    def div(self, x, y):
+        # Fermat: y^(p-2) is the inverse of y
+        return x * pow(y, self.p - 2, self.p) % self.p
+
+
+class PairOracle:
+    """a + b w with w^2 = c, on pairs: mod p for F_{p^2} (c = nu), exact
+    Fractions for Q(sqrt(d)) (c = d, p = None)."""
+
+    def __init__(self, c, p=None):
+        self.c, self.p = c, p
+
+    def _r(self, a, b):
+        return (a, b) if self.p is None else (a % self.p, b % self.p)
+
+    def add(self, x, y):
+        return self._r(x[0] + y[0], x[1] + y[1])
+
+    def sub(self, x, y):
+        return self._r(x[0] - y[0], x[1] - y[1])
+
+    def mul(self, x, y):
+        (a, b), (e, f) = x, y
+        return self._r(a * e + self.c * b * f, a * f + b * e)
+
+    def neg(self, x):
+        return self._r(-x[0], -x[1])
+
+    def conj(self, x):
+        return self._r(x[0], -x[1])
+
+    def div(self, x, y):
+        # x / y = x conj(y) / (y conj(y)), and y conj(y) = e^2 - c f^2
+        e, f = y
+        n = e * e - self.c * f * f
+        a, b = self.mul(x, (e, -f))
+        if self.p is None:
+            return (a / n, b / n)
+        ninv = pow(n % self.p, self.p - 2, self.p)
+        return self._r(a * ninv, b * ninv)
+
+
+# ---------------------------------------------------------------------------
+# Form constructors
+
+
+def diagonal_rational(ctx, entries, eps=1):
+    """The diagonal eps-hermitian form with the given rational entries."""
+    return FormMatrix.diagonal(
+        ctx, [ctx.from_rational(e) for e in entries], eps)
+
+
+def direct_sum(f, g):
+    """The orthogonal sum of two forms over one context."""
+    if f.ctx != g.ctx or f.eps != g.eps:
+        raise ValidationError("direct sum needs matching contexts")
+    z1 = Matrix.zeros(f.ctx, f.dim, g.dim)
+    z2 = Matrix.zeros(f.ctx, g.dim, f.dim)
+    return FormMatrix(f.ctx, Matrix.block2(f.mat, z1, z2, g.mat), f.eps)

@@ -42,7 +42,8 @@ from maslov.symbols import (
     stbg,
     steinberg_relations_report,
 )
-from maslov.witt import local_invariant_tuples, witt_class
+from maslov.witt import witt_class
+from oracles import local_invariant_tuples
 
 SEED = 20259
 

@@ -189,6 +189,8 @@ def test_unbounded_work_exits_2_with_too_large():
           "--exhaustive"), "46656 triples exceed the limit 27000"),
         (("steinberg-check", "--field", '{"kind":"Fp","p":1009}',
           "--exhaustive"), "1024192512 triples exceed the limit 27000"),
+        (("boundary-check", "--input", '{"n":40}', "--trials", "1"),
+         "rank 40 exceeds the limit 8"),
     ]:
         started = time.monotonic()
         proc = invoke(*argv)
@@ -197,6 +199,18 @@ def test_unbounded_work_exits_2_with_too_large():
         rep = report_of(proc)
         assert rep["error"] == "TooLarge"
         assert message in rep["message"]
+
+
+def test_sampled_checks_run_up_to_the_rank_limit(capsys):
+    # one trial over Q at the limit runs (under a second each); one rank
+    # more is refused before any sampling
+    assert cli.RANK_LIMIT == 8
+    for command in ("boundary-check", "disc-defect-check", "reduced-check"):
+        for n, code in [(8, 0), (9, 2)]:
+            assert cli.run([command, "--input", json.dumps({"n": n}),
+                            "--trials", "1"]) == code
+            rep = json.loads(capsys.readouterr().out)
+            assert rep.get("error") == (None if code == 0 else "TooLarge")
 
 
 def test_parse_error_exit_code():

@@ -38,16 +38,19 @@ from maslov.sampling import (
     rng_for,
 )
 from maslov.witt import SHatElement, witt_class
+from oracles import diagonal_rational
 
 Q = FieldCtx("Q")
 F3 = FieldCtx("Fp", p=3)
 F5 = FieldCtx("Fp", p=5)
 F9 = FieldCtx("Fp2", p=3)
 QI = FieldCtx("QSqrt", d=-1)
+SKEW_F3, SKEW_Q, SKEW_F9, SKEW_QI = (
+    FieldCtx(c.kind, p=c.p, d=c.d, epsilon=-1) for c in (F3, Q, F9, QI))
 
 
 def diag(ctx, entries, eps=1):
-    return FormMatrix.diagonal_rational(ctx, entries, eps)
+    return diagonal_rational(ctx, entries, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +273,12 @@ def test_based_triple_witness_round_trip():
     assert a.is_invertible() and b.is_invertible() and c.is_invertible()
 
 
-@pytest.mark.parametrize("ctx,n", [(Q, 1), (Q, 2), (F5, 1), (F5, 2),
-                                   (F9, 1), (F9, 2), (QI, 1), (QI, 2)],
-                         ids=str)
+@pytest.mark.parametrize("ctx,n", [
+    (Q, 1), (Q, 2), (F5, 1), (F5, 2), (F9, 1), (F9, 2), (QI, 1), (QI, 2),
+    # eps = -1: the signed discriminant is read from det(t), not from the
+    # emptied or unit-scaled Witt representative
+    (SKEW_F3, 2), (SKEW_Q, 2), (SKEW_F9, 1), (SKEW_F9, 2), (SKEW_F9, 3),
+    (SKEW_QI, 1), (SKEW_QI, 2)], ids=str)
 def test_disc_defect_random(ctx, n):
     sp = HyperbolicSpace(ctx, n)
     for trial in range(12):

@@ -13,6 +13,7 @@ from maslov.fields import (
     norm_subgroup_class,
     squarefree_part,
 )
+from oracles import PairOracle, PrimeFieldOracle
 
 ALL_CTXS = [
     FieldCtx("Q"),
@@ -150,3 +151,90 @@ def test_scalar_parsing_round_trip():
         for _ in range(10):
             x = ctx.random_element(rng)
             assert ctx.parse_scalar(ctx.scalar_to_json(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# Scalars against plain formulas (tests/oracles.py): every operation on
+# every pair of elements of the small finite fields, seeded pairs over
+# Q(sqrt(d)).
+
+
+def oracle_for(ctx):
+    if ctx.kind == "Fp":
+        return PrimeFieldOracle(ctx.p)
+    if ctx.kind == "Fp2":
+        return PairOracle(ctx.kernel.nu, ctx.p)
+    return PairOracle(ctx.d)
+
+
+def check_against_oracle(ctx, x, y, same):
+    o = oracle_for(ctx)
+    assert (x + y).raw == o.add(x.raw, y.raw)
+    assert (x - y).raw == o.sub(x.raw, y.raw)
+    assert (x * y).raw == o.mul(x.raw, y.raw)
+    assert (-x).raw == o.neg(x.raw)
+    assert ctx.involution(x).raw == o.conj(x.raw)
+    assert (x == y) == same and (x != y) != same
+    if y:
+        assert (x / y).raw == o.div(x.raw, y.raw)
+        assert (3 / y).raw == o.div(ctx.from_int(3).raw, y.raw)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    # ints enter on either side
+    three = ctx.from_int(3).raw
+    assert (3 - x).raw == o.sub(three, x.raw)
+    assert (x * 3).raw == (3 * x).raw == o.mul(x.raw, three)
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx("Fp", p=p) for p in (3, 5, 7)]
+                         + [FieldCtx("Fp2", p=p) for p in (3, 5, 7)],
+                         ids=repr)
+def test_finite_scalars_match_plain_formulas(ctx):
+    p = ctx.p
+    if ctx.kind == "Fp2":
+        assert all(a * a % p != ctx.kernel.nu for a in range(p))
+    els = ctx.elements()
+    assert len({e.raw for e in els}) == ctx.order
+    for i, x in enumerate(els):
+        power = x
+        for _ in range(p - 1):
+            power = power * x
+        assert ctx.involution(x) == power  # J is x -> x^p
+        if x:
+            assert x * (1 / x) == 1
+        for j, y in enumerate(els):
+            check_against_oracle(ctx, x, y, i == j)
+
+
+@pytest.mark.parametrize("d", [-1, 2, -5])
+def test_quadratic_scalars_match_plain_formulas(d):
+    ctx = FieldCtx("QSqrt", d=d)
+    rng = random.Random(f"scalars:{d}")
+    for _ in range(300):
+        x, y = ctx.random_element(rng, 3), ctx.random_element(rng, 3)
+        check_against_oracle(ctx, x, y, x.raw == y.raw)
+        if x:
+            assert x * (1 / x) == 1
+        # Fractions enter as rationals
+        assert (x + Fraction(1, 2)).raw == (x.raw[0] + Fraction(1, 2),
+                                            x.raw[1])
+
+
+def test_scalars_keep_their_field():
+    f5, f7, f9 = FieldCtx("Fp", p=5), FieldCtx("Fp", p=7), FieldCtx("Fp2", p=3)
+    qi, q2 = FieldCtx("QSqrt", d=-1), FieldCtx("QSqrt", d=2)
+    for x, y in [(f5.one(), f7.one()), (f5.one(), f9.one()),
+                 (qi.one(), q2.one())]:
+        with pytest.raises(ValidationError):
+            x + y
+        with pytest.raises(ValidationError):
+            x == y
+        assert hash(x) != hash(y)
+    # contexts that differ only in the sign share their scalars
+    assert FieldCtx("Fp", p=5, epsilon=-1).one() + f5.one() == 2
+    assert qi.from_int(2) == 2
+    assert qi.from_rational(Fraction(1, 2)) == Fraction(1, 2)
+    reprs = [repr(x) for x in (f5.from_int(-1), f9.generator() + 2,
+                               qi.parse_scalar(["1/2", "-3"]))]
+    assert reprs == ["4", "2+1w", "1/2+-3*sqrt(-1)"]

@@ -18,6 +18,7 @@ from maslov.forms import (
 )
 from maslov.linalg import Matrix
 from maslov.sampling import random_hermitian, random_hermitian_invertible, rng_for
+from oracles import diagonal_rational, direct_sum
 
 Q = FieldCtx("Q")
 F5 = FieldCtx("Fp", p=5)
@@ -48,7 +49,7 @@ def test_congruence_examples():
     skew = FormMatrix(Q, [[0, -1], [1, 0]], -1)
     assert congruence(skew, Matrix.identity(Q, 2)) == skew
 
-    t = FormMatrix.diagonal_rational(Q, [-1, 3])
+    t = diagonal_rational(Q, [-1, 3])
     g = Matrix(Q, [[1, 1], [0, 1]])
     assert congruence(t, g).mat == Matrix(Q, [[-1, -1], [-1, 2]])
 
@@ -59,9 +60,9 @@ def test_diagonalize_examples():
     assert dg.radical_dim == 0
     # the hyperbolic plane is isometric to <1, -1>
     assert is_isometric(FormMatrix.diagonal(Q, dg.diag),
-                        FormMatrix.diagonal_rational(Q, [1, -1]))
+                        diagonal_rational(Q, [1, -1]))
 
-    d = diagonalize(FormMatrix.diagonal_rational(Q, [1, 0, 3]))
+    d = diagonalize(diagonal_rational(Q, [1, 0, 3]))
     assert sorted(d.diag) == [Fraction(1), Fraction(3)]
     assert d.radical_dim == 1
 
@@ -94,20 +95,20 @@ def test_is_isometric_examples():
     hyp = FormMatrix(Q, [[0, 1], [1, 0]], 1)
     assert congruence(hyp, g).mat == Matrix.diagonal(
         Q, [Q.one(), -Q.one()])
-    assert is_isometric(hyp, FormMatrix.diagonal_rational(Q, [1, -1]))
+    assert is_isometric(hyp, diagonal_rational(Q, [1, -1]))
 
     # 2 = 3^2 mod 7
-    assert is_isometric(FormMatrix.diagonal_rational(F7, [1]),
-                        FormMatrix.diagonal_rational(F7, [2]))
+    assert is_isometric(diagonal_rational(F7, [1]),
+                        diagonal_rational(F7, [2]))
 
-    assert not is_isometric(FormMatrix.diagonal_rational(Q, [1, 1]),
-                            FormMatrix.diagonal_rational(Q, [1, -1]))
+    assert not is_isometric(diagonal_rational(Q, [1, 1]),
+                            diagonal_rational(Q, [1, -1]))
 
 
 def test_is_isometric_rejects_degenerate():
     with pytest.raises(DegenerateInput):
-        is_isometric(FormMatrix.diagonal_rational(Q, [1, 0]),
-                     FormMatrix.diagonal_rational(Q, [1, 1]))
+        is_isometric(diagonal_rational(Q, [1, 0]),
+                     diagonal_rational(Q, [1, 1]))
 
 
 @pytest.mark.parametrize("ctx", HERM_CTXS, ids=repr)
@@ -128,7 +129,7 @@ def test_is_isometric_equivalence_relation_over_q():
     forms = []
     for _ in range(8):
         entries = [Fraction(rng.choice([1, -1, 2, 3, -6])) for _ in range(2)]
-        forms.append(FormMatrix.diagonal_rational(Q, entries))
+        forms.append(diagonal_rational(Q, entries))
     for a in forms:
         assert is_isometric(a, a)
         for b in forms:
@@ -139,7 +140,7 @@ def test_is_isometric_equivalence_relation_over_q():
 
 
 def test_radical_split_examples():
-    nd, rad = radical_split(FormMatrix.diagonal_rational(Q, [1, 0]))
+    nd, rad = radical_split(diagonal_rational(Q, [1, 0]))
     assert rad == 1 and nd.dim == 1 and nd.mat.rows[0][0] == 1
 
     nd, rad = radical_split(FormMatrix(Q, Matrix.zeros(Q, 3, 3), 1))
@@ -154,19 +155,19 @@ def test_radical_split_examples():
     assert len(g.kernel()) == 1
     nd, rad = radical_split(FormMatrix(Q, g, 1))
     assert rad == 1
-    assert is_isometric(nd, FormMatrix.diagonal_rational(Q, [1, -1]))
+    assert is_isometric(nd, diagonal_rational(Q, [1, -1]))
 
 
 def test_radical_split_direct_sum_with_zeros():
-    base = FormMatrix.diagonal_rational(Q, [2, -3])
-    padded = base.direct_sum(FormMatrix(Q, Matrix.zeros(Q, 2, 2), 1))
+    base = diagonal_rational(Q, [2, -3])
+    padded = direct_sum(base, FormMatrix(Q, Matrix.zeros(Q, 2, 2), 1))
     _, rad = radical_split(padded)
     assert rad >= 2
 
 
 def test_signature():
-    assert signature(FormMatrix.diagonal_rational(Q, [1, 1, 1, 1])) == 4
-    assert signature(FormMatrix.diagonal_rational(Q, [1, -2, 3])) == 1
+    assert signature(diagonal_rational(Q, [1, 1, 1, 1])) == 4
+    assert signature(diagonal_rational(Q, [1, -2, 3])) == 1
     hyp = FormMatrix(Q, [[0, 1], [1, 0]], 1)
     assert signature(hyp) == 0
 

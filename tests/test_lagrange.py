@@ -37,6 +37,7 @@ from maslov.sampling import (
     random_unitary,
     rng_for,
 )
+from oracles import diagonal_rational
 
 Q = FieldCtx("Q")
 F3 = FieldCtx("Fp", p=3)
@@ -48,7 +49,7 @@ SKEW = [FieldCtx("Q", epsilon=-1), FieldCtx("Fp", p=5, epsilon=-1),
 
 
 def diag_form(ctx, entries, eps=1):
-    return FormMatrix.diagonal_rational(ctx, entries, eps)
+    return diagonal_rational(ctx, entries, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +357,7 @@ def _triple_symmetries(p):
     ctx = FieldCtx("Fp", p=p)
     sp = HyperbolicSpace(ctx, 1)
     x0, y0 = sp.standard_pair()
-    z = u_t(sp, FormMatrix.diagonal_rational(ctx, [1]))(y0)
+    z = u_t(sp, diagonal_rational(ctx, [1]))(y0)
     triple = [x0, y0, z]
     perms = set()
     els = ctx.elements()

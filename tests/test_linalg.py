@@ -88,8 +88,9 @@ def test_block_assembly():
 
 
 # ---------------------------------------------------------------------------
-# Kernels against the scalar classes: every matrix operation below is
-# recomputed entry by entry through FpElt / Fp2Elt arithmetic.
+# Matrix kernels against scalar arithmetic: every matrix operation below is
+# recomputed entry by entry through scalar operations, which
+# tests/test_fields.py checks against plain formulas.
 
 FINITE = [
     FieldCtx("Fp", p=3),
@@ -170,12 +171,14 @@ def same(mat, rows):
     return [list(r) for r in mat.rows] == [list(r) for r in rows]
 
 
-@pytest.mark.parametrize("ctx", FINITE, ids=repr)
+@pytest.mark.parametrize("ctx", FINITE + [FieldCtx("QSqrt", d=-1),
+                                         FieldCtx("QSqrt", d=2)], ids=repr)
 def test_kernels_match_scalar_arithmetic(ctx):
-    rng = random.Random(f"kernel:{ctx.kind}:{ctx.p}")
+    rng = random.Random(f"kernel:{ctx.kind}:{ctx.p or ctx.d}")
+    size = 4 if ctx.is_finite else 3
     for trial in range(40):
-        n = 1 + trial % 4
-        m = 1 + (trial // 4) % 4
+        n = 1 + trial % size
+        m = 1 + (trial // size) % size
         singular = trial % 3 == 0
         a_rows = scalar_rows(ctx, n, n, rng, singular)
         b_rows = scalar_rows(ctx, n, m, rng)

@@ -23,10 +23,10 @@ from maslov.symbols import (
 )
 from maslov.witt import (
     hilbert_symbol,
-    local_witt_is_zero,
     relevant_places,
     witt_class,
 )
+from oracles import diagonal_rational, local_witt_is_zero
 
 Q = FieldCtx("Q")
 F5 = FieldCtx("Fp", p=5)
@@ -48,7 +48,7 @@ def test_quaternion_form_examples():
     neg = quaternion_form(Q, frac(-1), frac(-1))
     assert signature(neg) == 4
     assert witt_class(neg) == witt_class(
-        FormMatrix.diagonal_rational(Q, [1, 1, 1, 1]))
+        diagonal_rational(Q, [1, 1, 1, 1]))
 
     a, b = frac(2), frac(3)
     assert is_isometric(quaternion_form(Q, a, b), quaternion_form(Q, b, a))
@@ -73,7 +73,7 @@ def test_R_map_examples():
 
     neg = SymbolSum.symbol(Q, frac(-1), frac(-1))
     assert R_map(neg) == witt_class(
-        FormMatrix.diagonal_rational(Q, [1, 1, 1, 1]))
+        diagonal_rational(Q, [1, 1, 1, 1]))
 
     doubled = (SymbolSum.symbol(Q, frac(2), frac(3))
                + SymbolSum.symbol(Q, frac(3), frac(2)))
@@ -208,7 +208,7 @@ def test_stbg_closed_form():
             continue
         done += 1
         t = t1 + s2
-        closed = witt_class(FormMatrix.diagonal_rational(
+        closed = witt_class(diagonal_rational(
             Q, [t, r1 * r2 * t, r1, r2])).neg()
         assert R_map(stbg(g1, g2)) == closed
 
