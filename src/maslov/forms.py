@@ -31,10 +31,7 @@ class FormMatrix:
     __slots__ = ("ctx", "mat", "eps")
 
     def __init__(self, ctx: FieldCtx, mat, eps: int):
-        if isinstance(mat, Matrix):
-            m = mat
-        else:
-            m = Matrix(ctx, mat)
+        m = mat if isinstance(mat, Matrix) else Matrix(ctx, mat)
         if m.m != m.n:
             raise DimensionMismatch("form matrix must be square")
         if eps not in (1, -1):
@@ -95,70 +92,72 @@ class Diagonalization:
 def diagonalize(t: FormMatrix) -> Diagonalization:
     """Exact congruence diagonalization of a (+1)-hermitian form.
 
-    Symmetric Gaussian elimination with the usual char != 2 repair: when
-    the remaining diagonal vanishes, a suitable column+row addition makes
-    a pivot equal to 2.
+    Symmetric Gaussian elimination on the context kernel's raw values,
+    with the usual char != 2 repair: when the remaining diagonal
+    vanishes, a suitable column+row addition makes a pivot equal to 2.
+    While no step has moved the transform g from I, the witness
+    g^J t g = D (+) 0 is read as t == D.
     """
     if t.eps != 1:
         raise WrongSymmetry("only +1-hermitian forms are diagonalized")
-    ctx = t.ctx
-    n = t.dim
-    a = [list(row) for row in t.mat.rows]
-    g = [list(row) for row in Matrix.identity(ctx, n).rows]
-    inv = ctx.involution
+    ctx, k, n = t.ctx, t.ctx.kernel, t.dim
+    zero, add, mul = k.zero, k.add, k.mul
+    a = [list(row) for row in t.mat.raw]
+    g = []  # the transform's rows, built by the first step that moves it
+
+    def moved():
+        if not g:
+            g.extend(map(list, Matrix.identity(ctx, n).raw))
+        return g
 
     def col_addmul(dest, src, lam):
         # congruence by E = I + e_{src,dest} lam: col_dest += col_src*lam,
         # row_dest += lam^J * row_src
-        for i in range(n):
-            a[i][dest] = a[i][dest] + a[i][src] * lam
-        lj = inv(lam)
+        for r in a:
+            r[dest] = add(r[dest], mul(r[src], lam))
+        lj, rd, rs = k.conj(lam), a[dest], a[src]
         for j in range(n):
-            a[dest][j] = a[dest][j] + lj * a[src][j]
-        for i in range(n):
-            g[i][dest] = g[i][dest] + g[i][src] * lam
+            rd[j] = add(rd[j], mul(lj, rs[j]))
+        for r in moved():
+            r[dest] = add(r[dest], mul(r[src], lam))
 
     def swap(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
         a[i], a[j] = a[j], a[i]
-        for r in g:
+        for r in moved():
             r[i], r[j] = r[j], r[i]
 
     rank = n
-    for k in range(n):
-        piv = None
-        for j in range(k, n):
-            if a[j][j]:
-                piv = j
-                break
-        if piv is None:
-            off = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j]:
-                        off = (i, j)
-                        break
-                if off:
-                    break
+    for c in range(n):
+        piv = c
+        while piv < n and a[piv][piv] == zero:
+            piv += 1
+        if piv == n:
+            off = next(((i, j) for i in range(c, n) for j in range(i + 1, n)
+                        if a[i][j] != zero), None)
             if off is None:
-                rank = k
+                rank = c
                 break
             i, j = off
             # makes a[i][i] = 2 exactly (char != 2)
-            col_addmul(i, j, ctx.one() / a[i][j])
+            col_addmul(i, j, k.inv(a[i][j]))
             piv = i
-        if piv != k:
-            swap(piv, k)
-        d = a[k][k]
-        for j in range(k + 1, n):
-            if a[k][j]:
-                col_addmul(j, k, -(a[k][j] / d))
+        if piv != c:
+            swap(piv, c)
+        row = a[c]
+        for j in range(c + 1, n):
+            if row[j] != zero:
+                col_addmul(j, c, k.neg(mul(row[j], k.inv(row[c]))))
 
-    diag = tuple(a[i][i] for i in range(rank))
-    gm = Matrix(ctx, g)
-    expected = Matrix.diagonal(ctx, list(diag) + [ctx.zero()] * (n - rank))
-    if gm.jt() * t.mat * gm != expected:
+    diag = tuple(k.wrap(a[i][i]) for i in range(rank))
+    d = Matrix.diagonal(ctx, diag + (k.wrap(zero),) * (n - rank))
+    if not g:
+        gm, witness = Matrix.identity(ctx, n), t.mat
+    else:
+        gm = Matrix._of(ctx, tuple(map(tuple, g)))
+        witness = gm.jt() * t.mat * gm
+    if witness != d:
         raise ValidationError("diagonalization witness failed")  # safety net
     return Diagonalization(diag, n - rank, gm)
 

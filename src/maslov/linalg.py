@@ -72,7 +72,7 @@ class Matrix:
 
     @staticmethod
     def identity(ctx, n):
-        return Matrix.diagonal(ctx, [1] * n)
+        return Matrix._diagonal(ctx, (ctx.kernel.one,) * n)
 
     @staticmethod
     def zeros(ctx, m, n):
@@ -80,12 +80,14 @@ class Matrix:
 
     @staticmethod
     def diagonal(ctx, entries):
-        k = ctx.kernel
-        entries = [k.unwrap(e) for e in entries]
-        n = len(entries)
-        return Matrix._of(ctx, tuple(
-            tuple(entries[i] if i == j else k.zero for j in range(n))
-            for i in range(n)))
+        return Matrix._diagonal(ctx, tuple(map(ctx.kernel.unwrap, entries)))
+
+    @classmethod
+    def _diagonal(cls, ctx, raw):
+        """The diagonal matrix of the raw values raw."""
+        z, n = (ctx.kernel.zero,), len(raw)
+        return cls._of(ctx, tuple(z * i + (e,) + z * (n - 1 - i)
+                                  for i, e in enumerate(raw)))
 
     @staticmethod
     def block2(a, b, c, d):

@@ -496,15 +496,16 @@ def _strip_hyperbolic(ctx, eps, diag):
 
 def witt_class(t: FormMatrix) -> WittClass:
     """The image of the form in the Witt group of its context."""
-    if not t.is_nondegenerate():
-        raise DegenerateInput("Witt class needs a nondegenerate form")
     ctx, eps = t.ctx, t.eps
-    if eps == -1:
-        if ctx.has_trivial_involution:
-            return WittClass.zero(ctx, eps)
-        t = _scale_to_hermitian(t)
-    return WittClass(ctx, _strip_hyperbolic(ctx, eps, diagonalize(t).diag),
-                     eps)
+    if eps == -1 and ctx.has_trivial_involution:
+        # the skew Witt group is trivial: only nondegeneracy is read
+        diag, degenerate = (), not t.is_nondegenerate()
+    else:
+        dg = diagonalize(t if eps == 1 else _scale_to_hermitian(t))
+        diag, degenerate = dg.diag, dg.radical_dim > 0
+    if degenerate:
+        raise DegenerateInput("Witt class needs a nondegenerate form")
+    return WittClass(ctx, _strip_hyperbolic(ctx, eps, diag), eps)
 
 
 def trace_transfer(h: WittClass) -> WittClass:

@@ -7,14 +7,15 @@
   with w^2 = nu, and Fraction pairs with w^2 = d.  They share no code with
   the field kernels they check.
 * Form constructors: diagonal forms from rationals and direct sums.
+* Congruence diagonalization on scalars.
 """
 
 import itertools
 from fractions import Fraction
 
-from maslov.errors import ValidationError, ZeroInput
+from maslov.errors import ValidationError, WrongSymmetry, ZeroInput
 from maslov.fields import INF, FieldCtx, legendre, squarefree_part
-from maslov.forms import FormMatrix, hasse_invariant
+from maslov.forms import Diagonalization, FormMatrix, hasse_invariant
 from maslov.linalg import Matrix
 from maslov.witt import _val_unit, hilbert_symbol
 
@@ -166,3 +167,80 @@ def direct_sum(f, g):
     z1 = Matrix.zeros(f.ctx, f.dim, g.dim)
     z2 = Matrix.zeros(f.ctx, g.dim, f.dim)
     return FormMatrix(f.ctx, Matrix.block2(f.mat, z1, z2, g.mat), f.eps)
+
+
+# ---------------------------------------------------------------------------
+# Diagonalization on scalars
+
+
+def scalar_diagonalize(t: FormMatrix) -> Diagonalization:
+    """Exact congruence diagonalization of a (+1)-hermitian form, computed
+    on scalars with an eagerly built transform: the reference that
+    ``forms.diagonalize`` is tested against.
+
+    Symmetric Gaussian elimination with the usual char != 2 repair: when
+    the remaining diagonal vanishes, a suitable column+row addition makes
+    a pivot equal to 2.
+    """
+    if t.eps != 1:
+        raise WrongSymmetry("only +1-hermitian forms are diagonalized")
+    ctx = t.ctx
+    n = t.dim
+    a = [list(row) for row in t.mat.rows]
+    g = [list(row) for row in Matrix.identity(ctx, n).rows]
+    inv = ctx.involution
+
+    def col_addmul(dest, src, lam):
+        # congruence by E = I + e_{src,dest} lam: col_dest += col_src*lam,
+        # row_dest += lam^J * row_src
+        for i in range(n):
+            a[i][dest] = a[i][dest] + a[i][src] * lam
+        lj = inv(lam)
+        for j in range(n):
+            a[dest][j] = a[dest][j] + lj * a[src][j]
+        for i in range(n):
+            g[i][dest] = g[i][dest] + g[i][src] * lam
+
+    def swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        a[i], a[j] = a[j], a[i]
+        for r in g:
+            r[i], r[j] = r[j], r[i]
+
+    rank = n
+    for k in range(n):
+        piv = None
+        for j in range(k, n):
+            if a[j][j]:
+                piv = j
+                break
+        if piv is None:
+            off = None
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    if a[i][j]:
+                        off = (i, j)
+                        break
+                if off:
+                    break
+            if off is None:
+                rank = k
+                break
+            i, j = off
+            # makes a[i][i] = 2 exactly (char != 2)
+            col_addmul(i, j, ctx.one() / a[i][j])
+            piv = i
+        if piv != k:
+            swap(piv, k)
+        d = a[k][k]
+        for j in range(k + 1, n):
+            if a[k][j]:
+                col_addmul(j, k, -(a[k][j] / d))
+
+    diag = tuple(a[i][i] for i in range(rank))
+    gm = Matrix(ctx, g)
+    expected = Matrix.diagonal(ctx, list(diag) + [ctx.zero()] * (n - rank))
+    if gm.jt() * t.mat * gm != expected:
+        raise ValidationError("diagonalization witness failed")  # safety net
+    return Diagonalization(diag, n - rank, gm)

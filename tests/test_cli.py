@@ -202,15 +202,24 @@ def test_unbounded_work_exits_2_with_too_large():
 
 
 def test_sampled_checks_run_up_to_the_rank_limit(capsys):
-    # one trial over Q at the limit runs (under a second each); one rank
-    # more is refused before any sampling
-    assert cli.RANK_LIMIT == 8
-    for command in ("boundary-check", "disc-defect-check", "reduced-check"):
-        for n, code in [(8, 0), (9, 2)]:
-            assert cli.run([command, "--input", json.dumps({"n": n}),
-                            "--trials", "1"]) == code
+    # one trial at each cap runs (under a second each); one rank more is
+    # refused before any sampling.  Q(sqrt d) has the cap of Q, F_{p^2}
+    # the cap of F_p.
+    assert (cli.RANK_LIMIT, cli.FINITE_RANK_LIMIT) == (8, 24)
+    q, qi = '{"kind":"Q"}', '{"kind":"QSqrt","d":-1}'
+    f5, f9 = '{"kind":"Fp","p":5}', '{"kind":"Fp2","p":3}'
+    sampled = ("boundary-check", "disc-defect-check", "reduced-check")
+    for commands, field, n, error in [
+            (sampled, q, 8, None), (sampled, q, 9, "TooLarge"),
+            (sampled, qi, 9, "TooLarge"),
+            (sampled, f5, 24, None), (sampled, f5, 25, "TooLarge"),
+            (sampled[:1], f9, 24, None), (sampled, f9, 25, "TooLarge")]:
+        for command in commands:
+            code = cli.run([command, "--field", field, "--input",
+                            json.dumps({"n": n}), "--trials", "1"])
             rep = json.loads(capsys.readouterr().out)
-            assert rep.get("error") == (None if code == 0 else "TooLarge")
+            assert (code, rep.get("error")) == (0 if error is None else 2,
+                                                error)
 
 
 def test_parse_error_exit_code():

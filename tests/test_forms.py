@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from maslov.errors import DegenerateInput, NotHermitian, WrongSymmetry
+from maslov.errors import (
+    DegenerateInput,
+    NotHermitian,
+    ValidationError,
+    WrongSymmetry,
+)
 from maslov.fields import FieldCtx
 from maslov.forms import (
     FormMatrix,
@@ -17,8 +22,13 @@ from maslov.forms import (
     signature,
 )
 from maslov.linalg import Matrix
-from maslov.sampling import random_hermitian, random_hermitian_invertible, rng_for
-from oracles import diagonal_rational, direct_sum
+from maslov.sampling import (
+    random_hermitian,
+    random_hermitian_invertible,
+    random_invertible,
+    rng_for,
+)
+from oracles import diagonal_rational, direct_sum, scalar_diagonalize
 
 Q = FieldCtx("Q")
 F5 = FieldCtx("Fp", p=5)
@@ -27,6 +37,8 @@ F9 = FieldCtx("Fp2", p=3)
 QI = FieldCtx("QSqrt", d=-1)
 
 HERM_CTXS = [Q, F5, F9, QI]
+DIFF_CTXS = [Q, FieldCtx("Fp", p=3), F5, F9, FieldCtx("Fp2", p=5), QI,
+             FieldCtx("QSqrt", d=2)]
 
 
 def test_symmetry_validation():
@@ -89,6 +101,63 @@ def test_diagonalize_witness_exact(ctx):
         assert all(e for e in dg.diag)
 
 
+def _diagonalize_cases(ctx, n, rng):
+    """Seeded +1-hermitian forms of size n: random ones, the zero form,
+    random ones with a zero diagonal (the repair step) and degenerate
+    congruent images g^J (D (+) 0) g."""
+    zero = ctx.zero()
+    yield FormMatrix(ctx, Matrix.zeros(ctx, n, n), 1)
+    for _ in range(6):
+        t = random_hermitian(ctx, n, rng, eps=1)
+        yield t
+        rows = [[zero if i == j else x for j, x in enumerate(r)]
+                for i, r in enumerate(t.mat.rows)]
+        yield FormMatrix(ctx, rows, 1)
+        rank = rng.randrange(n)
+        d = [ctx.from_int(rng.choice([1, -1, 2, 3]))
+             for _ in range(rank)] + [zero] * (n - rank)
+        g = random_invertible(ctx, n, rng)
+        yield FormMatrix(ctx, g.jt() * Matrix.diagonal(ctx, d) * g, 1)
+
+
+@pytest.mark.parametrize("ctx", DIFF_CTXS, ids=repr)
+def test_diagonalize_matches_scalar_oracle(ctx):
+    rng = random.Random(2026)
+    repaired = 0
+    for n in range(1, 5):
+        for t in _diagonalize_cases(ctx, n, rng):
+            got, ref = diagonalize(t), scalar_diagonalize(t)
+            assert got.diag == ref.diag
+            assert got.radical_dim == ref.radical_dim
+            assert got.transform == ref.transform
+            if got.diag and not any(t.mat[i, i] for i in range(n)):
+                repaired += 1
+    assert repaired > 0
+
+
+def test_diagonalize_witness_catches_planted_faults(monkeypatch):
+    for ctx in DIFF_CTXS:
+        k = ctx.kernel
+        # a wrong product inside the elimination: mul feeds only the
+        # elimination, the witness product uses dot
+        t = FormMatrix(ctx, [[1, 1], [1, 3]], 1)
+        assert diagonalize(t).diag == (ctx.one(), ctx.from_int(2))
+        with monkeypatch.context() as m:
+            mul = k.mul
+            m.setattr(k, "mul", lambda x, y: k.add(mul(x, y), k.one))
+            with pytest.raises(ValidationError, match="witness failed"):
+                diagonalize(t)
+        # a wrong diagonal read off an already diagonal form, where no
+        # step is taken and the witness is read as t == D
+        t = diagonal_rational(ctx, [1, 2, -3])
+        assert diagonalize(t).transform == Matrix.identity(ctx, 3)
+        with monkeypatch.context() as m:
+            wrap = k.wrap
+            m.setattr(k, "wrap", lambda x: wrap(k.add(x, k.one)))
+            with pytest.raises(ValidationError, match="witness failed"):
+                diagonalize(t)
+
+
 def test_is_isometric_examples():
     # explicit witness: g^T [[0,1],[1,0]] g = diag(1,-1)
     g = Matrix(Q, [[1, 1], [Fraction(1, 2), Fraction(-1, 2)]])
@@ -113,8 +182,6 @@ def test_is_isometric_rejects_degenerate():
 
 @pytest.mark.parametrize("ctx", HERM_CTXS, ids=repr)
 def test_is_isometric_congruence_invariance(ctx):
-    from maslov.sampling import random_invertible
-
     for trial in range(25):
         rng = rng_for(13, trial)
         t = random_hermitian_invertible(ctx, 2, rng, eps=1)

@@ -38,6 +38,8 @@ F3 = FieldCtx("Fp", p=3)
 F5 = FieldCtx("Fp", p=5)
 F9 = FieldCtx("Fp2", p=3)
 QI = FieldCtx("QSqrt", d=-1)
+F25 = FieldCtx("Fp2", p=5)
+QR2 = FieldCtx("QSqrt", d=2)
 
 HERM_CTXS = [Q, F3, F5, F9, QI]
 
@@ -76,8 +78,29 @@ def test_witt_is_zero_examples():
 
 
 def test_degenerate_rejected():
-    with pytest.raises(DegenerateInput):
-        witt_class(diagonal_rational(Q, [1, 0]))
+    # every kind and sign: <1, 0> (<u, 0> for skew forms), the zero form,
+    # and the hyperbolic plane (+) <0>, whose diagonal is zero but whose
+    # off-diagonal is not
+    for ctx in HERM_CTXS + [F25, QR2]:
+        for eps in (1, -1):
+            if eps == 1:
+                unit = ctx.one()
+            elif ctx.has_trivial_involution:
+                unit = None  # a 1 x 1 alternating form is zero
+            else:
+                unit = ctx.generator()  # u^J = -u
+            one, zero = ctx.one(), ctx.zero()
+            hyp_plus_zero = [[zero, one, zero], [eps * one, zero, zero],
+                             [zero, zero, zero]]
+            forms = [FormMatrix(ctx, [[zero] * 2] * 2, eps),
+                     FormMatrix(ctx, hyp_plus_zero, eps)]
+            if unit is not None:
+                forms.append(FormMatrix.diagonal(ctx, [unit, zero], eps))
+            for t in forms:
+                with pytest.raises(DegenerateInput,
+                                   match="^Witt class needs a nondegenerate "
+                                         "form$"):
+                    witt_class(t)
 
 
 def test_witt_sum_examples():
