@@ -12,7 +12,6 @@ from .forms import (
     signature,
 )
 from .lagrange import (
-    BasedLagrangian,
     HyperbolicSpace,
     Lagrangian,
     PairFrame,

@@ -57,21 +57,17 @@ RANK_LIMIT = 8
 FINITE_RANK_LIMIT = 24
 
 
-def parse_field(spec) -> FieldCtx:
-    if isinstance(spec, str):
-        try:
-            spec = json.loads(spec)
-        except json.JSONDecodeError:
-            spec = {"kind": spec}
+def parse_field(text: str):
+    """(descriptor, context) of a --field value; a bare kind such as Q
+    stands for {"kind": "Q"}."""
+    try:
+        spec = json.loads(text)
+    except json.JSONDecodeError:
+        spec = {"kind": text}
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParseError("field descriptor needs a 'kind'")
-    kind = spec["kind"]
-    return FieldCtx(
-        kind,
-        p=spec.get("p"),
-        d=spec.get("d"),
-        epsilon=spec.get("epsilon", 1),
-    )
+    return spec, FieldCtx(spec["kind"], p=spec.get("p"), d=spec.get("d"),
+                          epsilon=spec.get("epsilon", 1))
 
 
 def parse_matrix(ctx, rows) -> Matrix:
@@ -98,10 +94,6 @@ def _space(ctx, inputs) -> HyperbolicSpace:
     return HyperbolicSpace(ctx, n)
 
 
-def _witt_output(cls):
-    return cls.to_json()
-
-
 # ---------------------------------------------------------------------------
 # command implementations; each returns (outputs, checks)
 
@@ -114,7 +106,7 @@ def cmd_kappa(ctx, inputs, args):
     t = kappa(x, y, z)
     return {
         "t": matrix_to_json(ctx, t.mat),
-        "witt": _witt_output(witt_class(t)),
+        "witt": witt_class(t).to_json(),
     }, []
 
 
@@ -123,7 +115,7 @@ def cmd_maslov(ctx, inputs, args):
     x = _lagrangian(space, inputs["X"])
     y = _lagrangian(space, inputs["Y"])
     z = _lagrangian(space, inputs["Z"])
-    return {"witt": _witt_output(maslov(x, y, z))}, []
+    return {"witt": maslov(x, y, z).to_json()}, []
 
 
 def cmd_kashiwara(ctx, inputs, args):
@@ -131,7 +123,7 @@ def cmd_kashiwara(ctx, inputs, args):
     x = _lagrangian(space, inputs["X"])
     y = _lagrangian(space, inputs["Y"])
     z = _lagrangian(space, inputs["Z"])
-    return {"witt": _witt_output(kashiwara_class(x, y, z))}, []
+    return {"witt": kashiwara_class(x, y, z).to_json()}, []
 
 
 def cmd_tau(ctx, inputs, args):
@@ -139,13 +131,13 @@ def cmd_tau(ctx, inputs, args):
     g = UnitaryElement(space, parse_matrix(ctx, inputs["g"]))
     h = UnitaryElement(space, parse_matrix(ctx, inputs["h"]))
     o = _lagrangian(space, inputs["o"]) if "o" in inputs else None
-    return {"witt": _witt_output(tau(g, h, o))}, []
+    return {"witt": tau(g, h, o).to_json()}, []
 
 
 def cmd_witt(ctx, inputs, args):
     eps = inputs.get("eps", 1)
     form = FormMatrix(ctx, parse_matrix(ctx, inputs["matrix"]), eps)
-    return {"witt": _witt_output(witt_class(form))}, []
+    return {"witt": witt_class(form).to_json()}, []
 
 
 def cmd_disc(ctx, inputs, args):
@@ -321,8 +313,6 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--exhaustive", action="store_true")
     ap.add_argument("--output", help="also write the report to this path")
-    ap.add_argument("--p", type=int, help="shorthand: prime for Fp fields")
-    ap.add_argument("--n", type=int, help="shorthand: module rank")
     return ap
 
 
@@ -332,10 +322,7 @@ def run(argv=None) -> int:
     try:
         if args.trials < 0:
             raise ParseError("--trials must be non-negative")
-        field_spec = args.field
-        if args.p is not None:
-            field_spec = json.dumps({"kind": "Fp", "p": args.p})
-        ctx = parse_field(field_spec)
+        field, ctx = parse_field(args.field)
         raw = args.input
         if raw.startswith("@"):
             with open(raw[1:], "r", encoding="utf-8") as fh:
@@ -346,14 +333,11 @@ def run(argv=None) -> int:
             raise ParseError(f"bad input JSON: {exc}") from exc
         if not isinstance(inputs, dict):
             raise ParseError("input JSON must be an object")
-        if args.n is not None:
-            inputs.setdefault("n", args.n)
         outputs, checks = COMMANDS[args.command](ctx, inputs, args)
         ok = all(c["pass"] for c in checks)
         report = {
             "command": args.command,
-            "field": json.loads(field_spec) if isinstance(field_spec, str)
-            else field_spec,
+            "field": field,
             "inputs": inputs,
             "seed": args.seed,
             "outputs": outputs,

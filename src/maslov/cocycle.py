@@ -10,7 +10,7 @@ kernel classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ConstraintViolated,
@@ -22,7 +22,6 @@ from .errors import (
 )
 from .forms import FormMatrix, isometry_key, radical_split
 from .lagrange import (
-    BasedLagrangian,
     HyperbolicSpace,
     Lagrangian,
     PairFrame,
@@ -138,77 +137,67 @@ def tau(g: UnitaryElement, h: UnitaryElement,
 # Based cochains and the reduction
 
 
-def _edge_det(v: BasedLagrangian, w: BasedLagrangian):
+def _edge_det(v: Lagrangian, w: Lagrangian):
     """det(-eps a b^J) for the base-change witnesses (a, b) of a directed
-    opposite based edge, read in the frame of the underlying pair.
+    opposite edge, read from the bases of v and w in the frame of the pair.
 
     The frame ambiguity is a Levi element, which changes (a, b) by
     (l a, l^{-J} b) and leaves the determinant unchanged.
     """
     ctx = v.space.ctx
-    frame = PairFrame(v.lagrangian, w.lagrangian)
+    frame = PairFrame(v, w)
     a = frame.top * v.basis
     b = frame.bot * w.basis
     return (a * b.jt()).scale(ctx.from_int(-ctx.epsilon)).det()
 
 
-def based_cochain_f(v: BasedLagrangian, w: BasedLagrangian) -> SHatElement:
+def based_cochain_f(v: Lagrangian, w: Lagrangian) -> SHatElement:
     """Extended square class of a directed based edge:
     (det(-eps a b^J) (-1)^{n(n-1)/2} N, (-1)^n).  Alternating: the value of
     the reversed edge is the inverse."""
     return signed_discriminant(v.space.ctx, v.space.n, (_edge_det(v, w),))
 
 
-def _edge_det_form(v: BasedLagrangian, w: BasedLagrangian) -> WittClass:
+def _edge_det_form(v: Lagrangian, w: Lagrangian) -> WittClass:
     # the Witt-group lift <det(-a b^J), 1, ..., 1> of the edge cochain
-    # (symplectic only, so eps = 1)
+    # (symplectic only, so eps = 1), built from its diagonal entries
     ctx = v.space.ctx
-    n = v.space.n
-    return witt_class(FormMatrix.diagonal(
-        ctx, [_edge_det(v, w)] + [ctx.one()] * (n - 1), 1))
+    return WittClass(ctx, [_edge_det(v, w)] + [ctx.one()] * (v.space.n - 1))
 
 
-@dataclass(frozen=True)
 class BasedTriple:
-    """Three based Lagrangians, pairwise opposite."""
+    """Three pairwise opposite Lagrangians, each based by its own basis.
+    Triples compare by identity: the same spans with other bases make
+    another triple."""
 
-    v0: BasedLagrangian
-    v1: BasedLagrangian
-    v2: BasedLagrangian
+    __slots__ = ("v0", "v1", "v2")
 
-    def __post_init__(self):
-        check_pairwise_opposite(self.v0.lagrangian, self.v1.lagrangian,
-                                self.v2.lagrangian)
+    def __init__(self, v0: Lagrangian, v1: Lagrangian, v2: Lagrangian):
+        check_pairwise_opposite(v0, v1, v2)
+        self.v0, self.v1, self.v2 = v0, v1, v2
 
     @staticmethod
     def from_witnesses(space: HyperbolicSpace, a, b, c, t) -> "BasedTriple":
-        """The standard-frame triple ((X, a x), (Y, b y), (u_t Y, c u_t y))."""
+        """The standard-frame triple with bases [a; 0], [0; b] and
+        [t c; c]; t must be eps-hermitian."""
         ctx = space.ctx
-        n = space.n
-        am = a if isinstance(a, Matrix) else Matrix(ctx, a)
-        bm = b if isinstance(b, Matrix) else Matrix(ctx, b)
-        cm = c if isinstance(c, Matrix) else Matrix(ctx, c)
-        tm = t.mat if isinstance(t, FormMatrix) else (
-            t if isinstance(t, Matrix) else Matrix(ctx, t))
-        x0, y0 = space.standard_pair()
-        zero = Matrix.zeros(ctx, n, n)
-        vx = BasedLagrangian(x0, am.vstack(zero))
-        vy = BasedLagrangian(y0, zero.vstack(bm))
-        zlag = u_t(space, tm)(y0)
-        vz = BasedLagrangian(zlag, (tm * cm).vstack(cm))
-        return BasedTriple(vx, vy, vz)
-
-    def lagrangians(self):
-        return (self.v0.lagrangian, self.v1.lagrangian, self.v2.lagrangian)
+        am, bm, cm = (m if isinstance(m, Matrix) else Matrix(ctx, m)
+                      for m in (a, b, c))
+        tm = FormMatrix(ctx, t.mat if isinstance(t, FormMatrix) else t,
+                        ctx.epsilon).mat
+        zero = Matrix.zeros(ctx, space.n, space.n)
+        return BasedTriple(Lagrangian(space, am.vstack(zero)),
+                           Lagrangian(space, zero.vstack(bm)),
+                           Lagrangian(space, (tm * cm).vstack(cm)))
 
     def witnesses(self):
         """Base-change witnesses (a, b, c) and the translation block t,
         read off in the frame standardizing the first two Lagrangians."""
-        frame = PairFrame(self.v0.lagrangian, self.v1.lagrangian)
+        frame = PairFrame(self.v0, self.v1)
         a = frame.top * self.v0.basis
         b = frame.bot * self.v1.basis
         c = frame.bot * self.v2.basis
-        return a, b, c, frame.kappa(self.v2.lagrangian)
+        return a, b, c, frame.kappa(self.v2)
 
 
 def disc_defect(bt: BasedTriple) -> SHatElement:
@@ -223,7 +212,7 @@ def disc_defect(bt: BasedTriple) -> SHatElement:
     """
     space = bt.v0.space
     total = signed_discriminant(space.ctx, space.n,
-                                (kappa(*bt.lagrangians()).det(),))
+                                (kappa(bt.v0, bt.v1, bt.v2).det(),))
     cyc = (based_cochain_f(bt.v0, bt.v1) + based_cochain_f(bt.v1, bt.v2)
            + based_cochain_f(bt.v2, bt.v0))
     return total - cyc
@@ -235,11 +224,10 @@ def reduced_maslov(bt: BasedTriple) -> WittClass:
     the value always lies in the discriminant kernel subgroup."""
     space = bt.v0.space
     _require_symplectic(space.ctx)
-    l0, l1, l2 = bt.lagrangians()
     coboundary = (_edge_det_form(bt.v1, bt.v2)
                   - _edge_det_form(bt.v0, bt.v2)
                   + _edge_det_form(bt.v0, bt.v1))
-    return maslov(l0, l1, l2) - coboundary
+    return maslov(bt.v0, bt.v1, bt.v2) - coboundary
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +264,7 @@ def _hermitian_additive_basis(ctx, n):
     return [m for m in out if not m.is_zero()]
 
 
-@dataclass
-class CensusResult:
+class CensusResult(NamedTuple):
     classes: dict          # isometry key -> orbit size
     total: int
     fibers_are_orbits: bool

@@ -118,18 +118,22 @@ def _factor_large(n: int, budget: list) -> list:
                           + _factor_large(n // d, budget))
 
 
-def squarefree_part(q) -> int:
-    """Signed squarefree integer representing q modulo nonzero squares."""
+def square_class(q):
+    """(sign, primes of odd exponent) of a nonzero rational, read from the
+    cached factorizations of its numerator and denominator."""
     q = Fraction(q)
     if q == 0:
         raise ZeroScalar("0 has no square class")
-    n = q.numerator * q.denominator
-    sign = 1 if n > 0 else -1
-    out = sign
-    for p, e in factorize(n).items():
-        if e % 2:
-            out *= p
-    return out
+    odd = set()
+    for n in (q.numerator, q.denominator):
+        odd.update(p for p, e in factorize(n).items() if e % 2)
+    return (1 if q > 0 else -1), frozenset(odd)
+
+
+def squarefree_part(q) -> int:
+    """Signed squarefree integer representing q modulo nonzero squares."""
+    sign, odd = square_class(q)
+    return sign * math.prod(odd)
 
 
 def legendre(a: int, p: int) -> int:

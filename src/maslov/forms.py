@@ -8,8 +8,8 @@ isometry reads the one Witt key per field kind kept in ``witt``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DegenerateInput,
@@ -82,8 +82,7 @@ def congruence(t: FormMatrix, g: Matrix) -> FormMatrix:
     return FormMatrix(t.ctx, g.jt() * t.mat * g, t.eps)
 
 
-@dataclass(frozen=True)
-class Diagonalization:
+class Diagonalization(NamedTuple):
     diag: tuple            # nonzero diagonal entries, length = rank
     radical_dim: int
     transform: Matrix      # invertible g with g^J t g = diag (+) 0

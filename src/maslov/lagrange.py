@@ -30,17 +30,26 @@ from .linalg import Matrix
 class HyperbolicSpace:
     """The standard hyperbolic module of rank n over a field context."""
 
-    __slots__ = ("ctx", "n", "gram")
+    __slots__ = ("ctx", "n", "_gram")
 
     def __init__(self, ctx: FieldCtx, n: int):
         if n < 1:
             raise ValidationError("rank must be positive")
         self.ctx = ctx
         self.n = n
-        eye = Matrix.identity(ctx, n)
-        zero = Matrix.zeros(ctx, n, n)
-        self.gram = Matrix.block2(
-            zero, eye.scale(ctx.from_int(-ctx.epsilon)), eye, zero)
+        self._gram = None
+
+    @property
+    def gram(self):
+        """[[0, -eps I], [I, 0]], built on first use: a module of huge rank
+        is refused by its commands' own checks before it is needed."""
+        if self._gram is None:
+            ctx, n = self.ctx, self.n
+            eye = Matrix.identity(ctx, n)
+            zero = Matrix.zeros(ctx, n, n)
+            self._gram = Matrix.block2(
+                zero, eye.scale(ctx.from_int(-ctx.epsilon)), eye, zero)
+        return self._gram
 
     @property
     def dim(self):
@@ -104,30 +113,6 @@ class Lagrangian:
         return f"Lagrangian({self.canonical!r})"
 
 
-class BasedLagrangian:
-    """A Lagrangian with a distinguished ordered basis."""
-
-    __slots__ = ("lagrangian", "basis")
-
-    def __init__(self, lagrangian: Lagrangian, basis: Matrix | None = None):
-        n = lagrangian.space.n
-        if basis is None:
-            basis = lagrangian.canonical
-        else:
-            if (basis.rank() != n
-                    or basis.hstack(lagrangian.basis).rank() != n):
-                raise ValidationError("basis does not span the Lagrangian")
-        self.lagrangian = lagrangian
-        self.basis = basis
-
-    @property
-    def space(self):
-        return self.lagrangian.space
-
-    def __repr__(self):
-        return f"BasedLagrangian({self.basis!r})"
-
-
 class UnitaryElement:
     """An isometry of the hyperbolic module: g^J h g = h exactly."""
 
@@ -154,9 +139,6 @@ class UnitaryElement:
     def __call__(self, x):
         if isinstance(x, Lagrangian):
             return Lagrangian(self.space, self.mat * x.basis)
-        if isinstance(x, BasedLagrangian):
-            lag = Lagrangian(self.space, self.mat * x.basis)
-            return BasedLagrangian(lag, self.mat * x.basis)
         if isinstance(x, Matrix):
             return self.mat * x
         raise ValidationError(f"cannot apply a unitary element to {x!r}")
@@ -180,28 +162,25 @@ class UnitaryElement:
 def u_t(space: HyperbolicSpace, t) -> UnitaryElement:
     """The translation [[1, t], [0, 1]]; t must be eps-hermitian."""
     ctx = space.ctx
-    if isinstance(t, FormMatrix):
-        if t.eps != ctx.epsilon:
-            raise NotHermitian("translation block has the wrong symmetry")
-        tm = t.mat
-    else:
-        tm = t if isinstance(t, Matrix) else Matrix(ctx, t)
-        if tm.jt().scale(ctx.from_int(ctx.epsilon)) != tm:
-            raise NotHermitian("translation block must be eps-hermitian")
+    if not isinstance(t, FormMatrix):
+        t = FormMatrix(ctx, t, ctx.epsilon)
+    elif t.eps != ctx.epsilon:
+        raise NotHermitian("translation block has the wrong symmetry")
     eye = Matrix.identity(ctx, space.n)
     zero = Matrix.zeros(ctx, space.n, space.n)
-    return UnitaryElement(space, Matrix.block2(eye, tm, zero, eye))
+    return UnitaryElement(space, Matrix.block2(eye, t.mat, zero, eye))
 
 
 def ell_a(space: HyperbolicSpace, a) -> UnitaryElement:
     """The Levi element [[a^{-J}, 0], [0, a]] for invertible a."""
     ctx = space.ctx
     am = a if isinstance(a, Matrix) else Matrix(ctx, a)
-    if not am.is_invertible():
-        raise SingularInput("Levi parameter must be invertible")
+    try:
+        a_inv_j = am.jt().inverse()
+    except SingularInput as exc:
+        raise SingularInput("Levi parameter must be invertible") from exc
     zero = Matrix.zeros(ctx, space.n, space.n)
-    return UnitaryElement(
-        space, Matrix.block2(am.jt().inverse(), zero, zero, am))
+    return UnitaryElement(space, Matrix.block2(a_inv_j, zero, zero, am))
 
 
 def w_element(space: HyperbolicSpace) -> UnitaryElement:
@@ -274,14 +253,18 @@ def gaussian_binomial(m: int, k: int, q: int) -> int:
 
 def enumerate_lagrangians(space: HyperbolicSpace, limit: int = 500000):
     """Complete duplicate-free list of the Lagrangians of a finite module."""
-    ctx = space.ctx
+    ctx, n = space.ctx, space.n
     if not ctx.is_finite:
         raise TooLarge("Lagrangian enumeration needs a finite field")
-    total = gaussian_binomial(space.dim, space.n, ctx.order)
+    # there are at least q^(n^2) > 2^(n^2) subspaces: refuse a rank whose
+    # exact count would itself be too large to compute
+    if n * n >= limit.bit_length():
+        raise TooLarge(f"over 2^{n * n} subspaces exceed the limit {limit}")
+    total = gaussian_binomial(space.dim, n, ctx.order)
     if total > limit:
         raise TooLarge(f"{total} subspaces exceed the limit {limit}")
     out = []
-    for basis in subspaces(ctx, space.dim, space.n):
+    for basis in subspaces(ctx, space.dim, n):
         if space.pairing(basis, basis).is_zero():
             out.append(Lagrangian(space, basis))
     return out
@@ -349,10 +332,10 @@ class PairFrame:
         space = _check_space(x, y)
         ctx = space.ctx
         b = x.canonical
-        s = space.pairing(y.basis, b)
-        if not s.is_invertible():
-            raise NotOpposite("the Lagrangians are not opposite")
-        c = y.basis * s.jt().inverse()
+        try:
+            c = y.basis * space.pairing(y.basis, b).jt().inverse()
+        except SingularInput as exc:
+            raise NotOpposite("the Lagrangians are not opposite") from exc
         self.space = space
         self.top = c.jt() * space.gram
         self.bot = (b.jt() * space.gram).scale(ctx.from_int(-ctx.epsilon))

@@ -11,8 +11,8 @@ import random
 from .errors import NotFound
 from .forms import FormMatrix
 from .lagrange import (
-    BasedLagrangian,
     HyperbolicSpace,
+    Lagrangian,
     UnitaryElement,
     ell_a,
     u_t,
@@ -110,7 +110,7 @@ def random_based_triple(space: HyperbolicSpace, rng):
     n = space.n
 
     def rebase(lag):
-        return BasedLagrangian(lag, lag.basis * random_invertible(
+        return Lagrangian(space, lag.basis * random_invertible(
             ctx, n, rng, span=2))
 
     return BasedTriple(rebase(x), rebase(y), rebase(z))

@@ -9,14 +9,15 @@ by solving a word problem.  The generic two-cocycle on determinant-one
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import NonGeneric, ValidationError, ZeroInput
+from .cocycle import BasedTriple, _require_symplectic, reduced_maslov
+from .errors import NonGeneric, ValidationError, WrongContext, ZeroInput
 from .fields import FieldCtx
 from .forms import FormMatrix
 from .lagrange import HyperbolicSpace
 from .linalg import Matrix
-from .witt import WittClass, witt_class
+from .witt import WittClass
 
 
 class SymbolSum:
@@ -84,7 +85,7 @@ def R_map(sym: SymbolSum) -> WittClass:
     discriminant kernel subgroup."""
     out = WittClass.zero(sym.ctx)
     for (x, y), mult in sym.items():
-        cls = witt_class(quaternion_form(sym.ctx, x, y))
+        cls = _sym_class(sym.ctx, x, y)
         if mult < 0:
             cls = cls.neg()
             mult = -mult
@@ -94,7 +95,11 @@ def R_map(sym: SymbolSum) -> WittClass:
 
 
 def _sym_class(ctx, x, y):
-    return witt_class(quaternion_form(ctx, x, y))
+    # the class of quaternion_form(ctx, x, y), read from its diagonal; the
+    # form is symmetric only where the involution fixes x and y
+    if not ctx.has_trivial_involution:
+        raise WrongContext("symbols need a field with trivial involution")
+    return WittClass(ctx, (ctx.one(), -x, -y, x * y))
 
 
 def steinberg_relations_report(ctx: FieldCtx, triples) -> dict:
@@ -135,8 +140,7 @@ def steinberg_relations_report(ctx: FieldCtx, triples) -> dict:
 # The generic cocycle on determinant-one 2 x 2 matrices
 
 
-@dataclass(frozen=True)
-class Sl2Factorization:
+class Sl2Factorization(NamedTuple):
     """g = u_s b_r u_t (shape "b", lower-left nonzero) or g = a_r u_t
     (shape "a", lower-left zero)."""
 
@@ -165,8 +169,8 @@ def generic_decompose(g: Matrix) -> Sl2Factorization:
     ctx = g.ctx
     if g.det() != ctx.one():
         raise ValidationError("matrix must have determinant one")
-    g11, g12 = g.rows[0]
-    g21, g22 = g.rows[1]
+    # single entries: rows would cache scalars on the caller's matrix
+    g11, g12, g21, g22 = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
     if g21:
         r = -(ctx.one() / g21)
         s = g11 / g21
@@ -210,8 +214,6 @@ def reduced_route(ctx, r1, r2, t) -> WittClass:
     """The cocycle value of the generic pair with parameters (r1, r2, t),
     computed through the reduced cocycle on the based triple with
     witnesses a = 1, b = r1^{-1}, c = -r2^{-1}."""
-    from .cocycle import BasedTriple, reduced_maslov
-
     space = HyperbolicSpace(ctx, 1)
     one = ctx.one()
     bt = BasedTriple.from_witnesses(
@@ -228,9 +230,9 @@ def compare_stbg_maslov(g1: Matrix, g2: Matrix) -> bool:
     """Does R(stbg(g1, g2)) match both the closed form
     -[<t, r1 r2 t, r1, r2>] and the reduced-cocycle route?"""
     ctx = g1.ctx
+    _require_symplectic(ctx)
     r1, r2, t = stbg_parameters(g1, g2)
     via_R = R_map(_stbg_sum(ctx, r1, r2, t))
-    closed = witt_class(FormMatrix.diagonal(
-        ctx, [t, r1 * r2 * t, r1, r2], 1)).neg()
+    closed = WittClass(ctx, (t, r1 * r2 * t, r1, r2)).neg()
     via_reduced = reduced_route(ctx, r1, r2, t)
     return via_R == closed and via_reduced == closed

@@ -36,9 +36,9 @@ from .errors import (
 from .fields import (
     INF,
     FieldCtx,
-    factorize,
     is_prime,
     legendre,
+    square_class,
     squarefree_part,
 )
 from .forms import (
@@ -108,22 +108,12 @@ def relevant_places(entries):
     2, infinity, and every odd prime dividing a squarefree part."""
     places = {2}
     for e in entries:
-        places |= _square_class(e)[1]
+        places |= square_class(e)[1]
     return sorted(places) + [INF]
 
 
 # ---------------------------------------------------------------------------
 # The Witt key
-
-
-def _square_class(q):
-    """(sign, primes of odd exponent) of a nonzero rational, read from the
-    cached factorizations of its numerator and denominator."""
-    q = Fraction(q)
-    odd = set()
-    for n in (q.numerator, q.denominator):
-        odd.update(p for p, e in factorize(n).items() if e % 2)
-    return (1 if q > 0 else -1), frozenset(odd)
 
 
 def _fp_key(p: int, n: int, det: int):
@@ -179,12 +169,12 @@ def _witt_key(ctx: FieldCtx, eps: int, entries):
     if ctx.kind == "Fp2":
         return len(entries) % 2
     if ctx.kind == "Q":
-        return _rational_key([_square_class(e) for e in entries])
+        return _rational_key([square_class(e) for e in entries])
     # Q(sqrt d): the trace transfer <a> -> <a, -d a>
-    sign_d, primes_d = _square_class(-ctx.d)
+    sign_d, primes_d = square_class(-ctx.d)
     classes = []
     for e in entries:
-        sign, primes = _square_class(ctx.fixed_rational(e))
+        sign, primes = square_class(ctx.fixed_rational(e))
         classes += [(sign, primes), (sign * sign_d, primes ^ primes_d)]
     return _rational_key(classes)
 
@@ -227,13 +217,13 @@ def _norm_class(ctx: FieldCtx, factors):
         rational = [r[0] for r in raws if not r[1]] + [b or a]
     sign, odd = 1, frozenset()
     for q in rational:
-        s, primes = _square_class(q)
+        s, primes = square_class(q)
         sign *= s
         odd ^= primes  # odd exponents cancel in pairs
     lam = sign * math.prod(odd)
     if ctx.kind == "Q":
         return (sign, odd), Fraction(lam)
-    sign_d, primes_d = _square_class(-ctx.d)
+    sign_d, primes_d = square_class(-ctx.d)
     key = _rational_key([(sign, odd), (sign * sign_d, odd ^ primes_d)])
     if t is None:
         return (None, key), ctx.from_rational(lam)

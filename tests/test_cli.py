@@ -136,11 +136,75 @@ def test_compare_command_non_generic_pair():
                                    '{"kind":"QSqrt","d":-1}',
                                    '{"kind":"Fp","p":5,"epsilon":-1}'])
 def test_compare_outside_the_symplectic_case_exits_2(field):
-    # only NonGeneric draws are resampled; every other error is reported
+    # only NonGeneric draws are resampled; the context is refused first
     proc = invoke("compare", "--field", field, "--trials", "3")
     assert proc.returncode == 2
-    assert issubclass(getattr(errors, report_of(proc)["error"]),
-                      errors.MaslovError)
+    assert report_of(proc)["error"] == "WrongContext"
+
+
+def test_symbol_commands_refuse_nontrivial_involutions(capsys):
+    # symbols need x and y fixed by the involution; ε = -1 is fine for
+    # steinberg-check, whose quaternion forms are symmetric by themselves
+    for field in ('{"kind":"Fp2","p":3}', '{"kind":"QSqrt","d":-1}',
+                  '{"kind":"QSqrt","d":2,"epsilon":-1}'):
+        for argv in (("--trials", "4"), ("--exhaustive",)):
+            if argv == ("--exhaustive",) and "QSqrt" in field:
+                continue
+            assert cli.run(["steinberg-check", "--field", field, *argv]) == 2
+            rep = json.loads(capsys.readouterr().out)
+            assert rep["error"] == "WrongContext"
+    assert cli.run(["steinberg-check", "--field",
+                    '{"kind":"Fp","p":5,"epsilon":-1}', "--trials", "4"]) == 0
+
+
+def test_outside_lagrangians_and_unitaries_are_checked(capsys):
+    # a kappa X that is not isotropic or lacks rank, and a tau g that does
+    # not preserve the form, are refused with their own messages
+    y = [["0", "0"], ["0", "0"], ["1", "0"], ["0", "1"]]
+    z = [["1", "0"], ["0", "1"], ["1", "0"], ["0", "1"]]
+    not_isotropic = [["1", "0"], ["0", "0"], ["0", "1"], ["0", "0"]]
+    rank_one = [["1", "2"], ["0", "0"], ["0", "0"], ["0", "0"]]
+    eye = [["1", "0"], ["0", "1"]]
+    for command, inputs, message in [
+            ("kappa", {"n": 2, "X": not_isotropic, "Y": y, "Z": z},
+             "subspace is not totally isotropic"),
+            ("kappa", {"n": 2, "X": rank_one, "Y": y, "Z": z},
+             "basis does not have full column rank"),
+            ("tau", {"n": 1, "g": [["2", "0"], ["0", "1"]], "h": eye},
+             "matrix does not preserve the form")]:
+        assert cli.run([command, "--input", json.dumps(inputs)]) == 2
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["error"], rep["message"]) == ("ValidationError", message)
+
+
+def test_huge_ranks_exit_2_promptly(capsys):
+    # no command builds anything of size n before its own checks refuse
+    # the rank: each exits 2 with a named error, within a second
+    lag = [["1"], ["0"]]
+    eye = [["1", "0"], ["0", "1"]]
+    commands = ("kappa", "maslov", "kashiwara", "tau", "lagrangians",
+                "census", "boundary-check", "disc-defect-check",
+                "reduced-check")
+    for n in (10**30, 10**5):
+        for field in ('{"kind":"Q"}', '{"kind":"Fp","p":3}',
+                      '{"kind":"Fp2","p":3,"epsilon":-1}'):
+            for command in commands:
+                for inputs in ({"n": n}, {"n": n, "X": lag, "Y": lag,
+                                          "Z": lag, "g": eye, "h": eye}):
+                    started = time.monotonic()
+                    code = cli.run([command, "--field", field, "--input",
+                                    json.dumps(inputs), "--trials", "1"])
+                    assert time.monotonic() - started < 1
+                    rep = json.loads(capsys.readouterr().out)
+                    assert code == 2
+                    assert issubclass(getattr(errors, rep["error"]),
+                                      errors.MaslovError)
+
+
+def test_field_may_be_a_bare_kind(capsys):
+    assert cli.run(["witt", "--field", "Q", "--input",
+                    '{"matrix":[["1"]]}']) == 0
+    assert json.loads(capsys.readouterr().out)["field"] == {"kind": "Q"}
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -8,13 +8,14 @@ from maslov.errors import (
     ConstraintViolated,
     NonGeneric,
     NotFound,
+    NotHermitian,
     NotPairwiseOpposite,
     TooLarge,
     WrongContext,
 )
 from maslov.fields import FieldCtx
 from maslov.forms import FormMatrix, is_isometric, radical_split
-from maslov.lagrange import HyperbolicSpace, u_t, w_element
+from maslov.lagrange import HyperbolicSpace, Lagrangian, u_t, w_element
 from maslov.linalg import Matrix
 from maslov.cocycle import (
     BasedTriple,
@@ -271,6 +272,19 @@ def test_based_triple_witness_round_trip():
     assert t.mat == tm.mat
     # all witnesses are invertible by construction
     assert a.is_invertible() and b.is_invertible() and c.is_invertible()
+    # each Lagrangian keeps the basis it was built from
+    assert bt.v2.basis == (tm.mat * cm).vstack(cm)
+
+
+def test_from_witnesses_rejects_a_non_hermitian_block():
+    sp = HyperbolicSpace(Q, 2)
+    eye = Matrix.identity(Q, 2)
+    with pytest.raises(NotHermitian, match="^matrix is not \\+1-hermitian$"):
+        BasedTriple.from_witnesses(sp, eye, eye, eye, [[1, 2], [3, 1]])
+    skew = FieldCtx("Q", epsilon=-1)
+    with pytest.raises(NotHermitian, match="^matrix is not -1-hermitian$"):
+        BasedTriple.from_witnesses(HyperbolicSpace(skew, 1), [[1]], [[1]],
+                                   [[1]], [[1]])
 
 
 @pytest.mark.parametrize("ctx,n", [
@@ -323,14 +337,14 @@ def test_reduced_maslov_witness_change_is_coboundary():
         rng = rng_for(109, trial)
         bt1 = random_based_triple(sp, rng)
         # rebase the same underlying triple with fresh bases
-        from maslov.lagrange import BasedLagrangian
         from maslov.sampling import random_invertible
 
         def rebase(v):
-            return BasedLagrangian(
-                v.lagrangian, v.basis * random_invertible(Q, 1, rng))
+            return Lagrangian(v.space, v.basis * random_invertible(Q, 1, rng))
 
         bt2 = BasedTriple(rebase(bt1.v0), rebase(bt1.v1), rebase(bt1.v2))
+        # same spans, other bases: a different based triple
+        assert bt2.v0 == bt1.v0 and bt2 != bt1
 
         def cob(bt):
             return (_edge_det_form(bt.v1, bt.v2)

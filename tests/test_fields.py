@@ -70,6 +70,15 @@ def test_squarefree_part():
     assert squarefree_part(Fraction(8, 3)) == 6
     with pytest.raises(ZeroScalar):
         squarefree_part(0)
+    # the numerator and the denominator are factored apart: each prime
+    # below is found at once, while their product would take Pollard rho
+    # past its budget
+    m61, m89 = 2**61 - 1, 2**89 - 1
+    assert squarefree_part(Fraction(9 * m61, 4 * m89)) == m61 * m89
+    assert squarefree_part(Fraction(-m89, 25 * m61)) == -m61 * m89
+    assert squarefree_part(Fraction(12 * m61, 5 * m89)) == 15 * m61 * m89
+    assert squarefree_part(Fraction(1048583 * 1049011**3, 998244353)) == (
+        1048583 * 1049011 * 998244353)
 
 
 def test_factorize_has_a_rho_budget():

@@ -171,6 +171,21 @@ def test_enumeration_infinite_field_rejected():
         enumerate_lagrangians(HyperbolicSpace(Q, 1))
 
 
+def test_enumeration_bounds_the_count_before_computing_it():
+    # there are over 2^(n^2) subspaces, so a rank with n^2 at least the
+    # bit length of the limit is refused from that bound alone; below it
+    # the exact count is reported.  The Gram matrix of a module is built
+    # only when needed, so a huge rank is refused at once.
+    sp = HyperbolicSpace(F3, 2)
+    with pytest.raises(TooLarge,
+                       match="^over 2\\^4 subspaces exceed the limit 15$"):
+        enumerate_lagrangians(sp, limit=15)
+    with pytest.raises(TooLarge, match="^130 subspaces exceed the limit 16$"):
+        enumerate_lagrangians(sp, limit=16)
+    with pytest.raises(TooLarge, match="^over 2\\^1(0)+ subspaces exceed"):
+        enumerate_lagrangians(HyperbolicSpace(F3, 10**30))
+
+
 # ---------------------------------------------------------------------------
 # common opposites
 

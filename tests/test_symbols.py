@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from maslov.errors import NonGeneric, ValidationError, ZeroInput
+from maslov.errors import NonGeneric, ValidationError, WrongContext, ZeroInput
 from maslov.fields import INF, FieldCtx
 from maslov.forms import FormMatrix, is_isometric, signature
 from maslov.linalg import Matrix
@@ -13,6 +13,7 @@ from maslov.symbols import (
     R_map,
     SymbolSum,
     _b,
+    _sym_class,
     _u,
     compare_stbg_maslov,
     generic_decompose,
@@ -79,6 +80,47 @@ def test_R_map_examples():
                + SymbolSum.symbol(Q, frac(3), frac(2)))
     single = witt_class(quaternion_form(Q, frac(2), frac(3)))
     assert R_map(doubled) == single + single
+
+
+def test_sym_class_matches_the_quaternion_form():
+    # _sym_class builds the class from the diagonal <1, -x, -y, xy>; the
+    # reference is the general path through FormMatrix and diagonalize
+    import random
+
+    cases = []
+    for p in (3, 5, 7):
+        ctx = FieldCtx("Fp", p=p)
+        units = ctx.nonzero_elements()
+        cases += [(ctx, x, y) for x in units for y in units]
+    rng = random.Random(17)
+    pool = [frac(v) for v in (1, -1, 2, -2, 3, 4, -4, 6, 9, -12)]
+    pool += [Fraction(rng.choice([v for v in range(-60, 61) if v]),
+                      rng.randint(1, 20)) for _ in range(30)]
+    cases += [(Q, x, y) for x in pool for y in pool[::3]]
+    for ctx, x, y in cases:
+        got = _sym_class(ctx, x, y)
+        want = witt_class(quaternion_form(ctx, x, y))
+        assert got == want, (ctx, x, y)
+        assert got.signed_disc() == want.signed_disc()
+    assert len(cases) > 500
+
+
+def test_symbols_refuse_contexts_they_do_not_cover():
+    # quaternion forms need x and y fixed by the involution, and the
+    # comparison needs the symplectic case: both are refused up front
+    for ctx in (FieldCtx("Fp2", p=3), FieldCtx("QSqrt", d=-1),
+                FieldCtx("QSqrt", d=2)):
+        one = ctx.one()
+        with pytest.raises(WrongContext):
+            steinberg_relations_report(ctx, [(one, one, one)])
+        with pytest.raises(WrongContext):
+            R_map(SymbolSum.symbol(ctx, one, one))
+    for ctx in (FieldCtx("Fp2", p=3), FieldCtx("QSqrt", d=-1),
+                FieldCtx("Q", epsilon=-1), FieldCtx("Fp", p=5, epsilon=-1)):
+        g1 = Matrix(ctx, [[0, 1], [-1, -1]])
+        g2 = Matrix(ctx, [[0, 1], [-1, 0]])
+        with pytest.raises(WrongContext):
+            compare_stbg_maslov(g1, g2)
 
 
 def test_symbol_sum_arithmetic():
