@@ -94,16 +94,25 @@ def _space(ctx, inputs) -> HyperbolicSpace:
     return HyperbolicSpace(ctx, n)
 
 
+def _triple(ctx, inputs):
+    space = _space(ctx, inputs)
+    return tuple(_lagrangian(space, inputs[k]) for k in ("X", "Y", "Z"))
+
+
+def _open(path, mode):
+    # a file that cannot be opened is bad input, not a crash
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot open {path}: {exc.strerror}") from exc
+
+
 # ---------------------------------------------------------------------------
 # command implementations; each returns (outputs, checks)
 
 
 def cmd_kappa(ctx, inputs, args):
-    space = _space(ctx, inputs)
-    x = _lagrangian(space, inputs["X"])
-    y = _lagrangian(space, inputs["Y"])
-    z = _lagrangian(space, inputs["Z"])
-    t = kappa(x, y, z)
+    t = kappa(*_triple(ctx, inputs))
     return {
         "t": matrix_to_json(ctx, t.mat),
         "witt": witt_class(t).to_json(),
@@ -111,19 +120,11 @@ def cmd_kappa(ctx, inputs, args):
 
 
 def cmd_maslov(ctx, inputs, args):
-    space = _space(ctx, inputs)
-    x = _lagrangian(space, inputs["X"])
-    y = _lagrangian(space, inputs["Y"])
-    z = _lagrangian(space, inputs["Z"])
-    return {"witt": maslov(x, y, z).to_json()}, []
+    return {"witt": maslov(*_triple(ctx, inputs)).to_json()}, []
 
 
 def cmd_kashiwara(ctx, inputs, args):
-    space = _space(ctx, inputs)
-    x = _lagrangian(space, inputs["X"])
-    y = _lagrangian(space, inputs["Y"])
-    z = _lagrangian(space, inputs["Z"])
-    return {"witt": kashiwara_class(x, y, z).to_json()}, []
+    return {"witt": kashiwara_class(*_triple(ctx, inputs)).to_json()}, []
 
 
 def cmd_tau(ctx, inputs, args):
@@ -319,17 +320,22 @@ def build_parser():
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
+    output = None
     try:
+        if args.output:
+            # refused before the job runs, so stdout gets one report
+            _open(args.output, "a").close()
+            output = args.output
         if args.trials < 0:
             raise ParseError("--trials must be non-negative")
         field, ctx = parse_field(args.field)
         raw = args.input
-        if raw.startswith("@"):
-            with open(raw[1:], "r", encoding="utf-8") as fh:
-                raw = fh.read()
         try:
+            if raw.startswith("@"):
+                with _open(raw[1:], "r") as fh:
+                    raw = fh.read()
             inputs = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"bad input JSON: {exc}") from exc
         if not isinstance(inputs, dict):
             raise ParseError("input JSON must be an object")
@@ -361,8 +367,8 @@ def run(argv=None) -> int:
         status = 2
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     elapsed = time.monotonic() - started
     print(f"[{args.command}] elapsed {elapsed:.3f}s", file=sys.stderr)

@@ -26,7 +26,6 @@ from .lagrange import (
     Lagrangian,
     PairFrame,
     UnitaryElement,
-    check_pairwise_opposite,
     ell_a,
     enumerate_lagrangians,
     is_opposite,
@@ -45,8 +44,8 @@ def maslov(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> WittClass:
 
 def boundary_defect(x, y, z, zp) -> WittClass:
     """m<y,z,z'> - m<x,z,z'> + m<x,y,z'> - m<x,y,z> for six-way opposite
-    quadruples; the cocycle theorem says this is always zero."""
-    check_pairwise_opposite(x, y, z, zp)
+    quadruples; the cocycle theorem says this is always zero.  The frames
+    of (x, y) and (y, z) decide all six oppositions."""
     frame = PairFrame(x, y)
     return (maslov(y, z, zp) - maslov(x, z, zp)
             + witt_class(frame.kappa(zp)) - witt_class(frame.kappa(z)))
@@ -126,11 +125,10 @@ def tau(g: UnitaryElement, h: UnitaryElement,
     if ctx.has_trivial_involution and ctx.epsilon == 1:
         return kashiwara_class(*triple)
     try:
-        check_pairwise_opposite(*triple)
+        return maslov(*triple)
     except NotPairwiseOpposite as exc:
         raise NonGeneric("non-generic pair outside the symplectic case") \
             from exc
-    return maslov(*triple)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,7 @@ class BasedTriple:
     __slots__ = ("v0", "v1", "v2")
 
     def __init__(self, v0: Lagrangian, v1: Lagrangian, v2: Lagrangian):
-        check_pairwise_opposite(v0, v1, v2)
+        PairFrame(v0, v1).kappa(v2)    # decides all three oppositions
         self.v0, self.v1, self.v2 = v0, v1, v2
 
     @staticmethod

@@ -61,10 +61,6 @@ class SpaceMismatch(MaslovError):
     pass
 
 
-class NotOpposite(MaslovError):
-    pass
-
-
 class NotPairwiseOpposite(MaslovError):
     pass
 

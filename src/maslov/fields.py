@@ -85,6 +85,15 @@ RHO_STEPS = 1 << 20
 _RHO_BATCH = 64
 
 
+def _kth_root(n: int, k: int) -> int:
+    # floor(n^(1/k)) by Newton's method, descending from 2^ceil(bits / k)
+    y = 1 << -(-n.bit_length() // k)
+    x = y + 1
+    while y < x:
+        x, y = y, ((k - 1) * y + n // y ** (k - 1)) // k
+    return x
+
+
 def _factor_large(n: int, budget: list) -> list:
     # Pollard rho (Floyd) for cofactors the trial division above left
     # behind, with one gcd per batch of steps; budget[0] is the number of
@@ -93,6 +102,12 @@ def _factor_large(n: int, budget: list) -> list:
         return []
     if is_prime(n):
         return [n]
+    # trial division left no prime below 20000 > 2^14, so n = r^k has
+    # k <= bits / 14; rho would need about r^(1/2) steps to split it
+    for k in range(2, n.bit_length() // 14 + 1):
+        r = math.isqrt(n) if k == 2 else _kth_root(n, k)
+        if r ** k == n:
+            return sorted(_factor_large(r, budget) * k)
     import random as _random
 
     rng = _random.Random(n)

@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     NotFound,
     NotHermitian,
-    NotOpposite,
     NotPairwiseOpposite,
     SingularInput,
     SpaceMismatch,
@@ -44,11 +43,7 @@ class HyperbolicSpace:
         """[[0, -eps I], [I, 0]], built on first use: a module of huge rank
         is refused by its commands' own checks before it is needed."""
         if self._gram is None:
-            ctx, n = self.ctx, self.n
-            eye = Matrix.identity(ctx, n)
-            zero = Matrix.zeros(ctx, n, n)
-            self._gram = Matrix.block2(
-                zero, eye.scale(ctx.from_int(-ctx.epsilon)), eye, zero)
+            self._gram = self.covector(Matrix.identity(self.ctx, self.dim))
         return self._gram
 
     @property
@@ -65,16 +60,21 @@ class HyperbolicSpace:
     def __repr__(self):
         return f"HyperbolicSpace({self.ctx!r}, n={self.n})"
 
-    def pairing(self, u: Matrix, v: Matrix):
-        """h(u, v) = u^J G v for column vectors or blocks of columns; G v
-        is the row shuffle [-eps v_2; v_1] of the halves of v."""
+    def covector(self, u: Matrix):
+        """u^J G, the rows of h(u, .): the column shuffle
+        [u_2^J | -eps u_1^J] of the halves of u.  This is the one place
+        that writes out the block layout of G."""
         n = self.n
-        if v.m != 2 * n:
+        if u.m != 2 * n:
             raise DimensionMismatch("pairing needs vectors of length 2n")
-        low = v.row_block(n, 2 * n)
+        right = u.row_block(0, n).jt()
         if self.ctx.epsilon == 1:
-            low = -low
-        return u.jt() * low.vstack(v.row_block(0, n))
+            right = -right
+        return u.row_block(n, 2 * n).jt().hstack(right)
+
+    def pairing(self, u: Matrix, v: Matrix):
+        """h(u, v) = u^J G v for column vectors or blocks of columns."""
+        return self.covector(u) * v
 
     def standard_pair(self):
         eye = Matrix.identity(self.ctx, self.n)
@@ -184,14 +184,10 @@ def ell_a(space: HyperbolicSpace, a) -> UnitaryElement:
 
 
 def w_element(space: HyperbolicSpace) -> UnitaryElement:
-    """The Weyl element [[0, 1], [-eps, 0]]; swaps the standard pair."""
+    """The Weyl element [[0, 1], [-eps, 0]] = -eps G; swaps the standard
+    pair."""
     ctx = space.ctx
-    eye = Matrix.identity(ctx, space.n)
-    zero = Matrix.zeros(ctx, space.n, space.n)
-    return UnitaryElement(
-        space,
-        Matrix.block2(zero, eye, eye.scale(ctx.from_int(-ctx.epsilon)),
-                      zero))
+    return UnitaryElement(space, space.gram.scale(ctx.from_int(-ctx.epsilon)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +207,6 @@ def is_opposite(x: Lagrangian, y: Lagrangian) -> bool:
     holds exactly when the pairing h(y, x) is nondegenerate."""
     space = _check_space(x, y)
     return space.pairing(y.basis, x.basis).is_invertible()
-
-
-def check_pairwise_opposite(*lags):
-    _check_space(*lags)
-    for a, b in itertools.combinations(lags, 2):
-        if not is_opposite(a, b):
-            raise NotPairwiseOpposite("Lagrangians are not pairwise opposite")
 
 
 def subspaces(ctx: FieldCtx, ambient: int, k: int):
@@ -304,10 +293,7 @@ def common_opposite(lags, rng=None, max_tries: int = 4000) -> Lagrangian:
         raw = Matrix(ctx, [[ctx.random_element(rng, span) for _ in range(n)]
                            for _ in range(n)])
         t = raw + raw.jt().scale(ctx.from_int(ctx.epsilon))
-        try:
-            cand = Lagrangian(space, t.vstack(eye))
-        except ValidationError:
-            continue
+        cand = Lagrangian(space, t.vstack(eye))
         if all(is_opposite(cand, lx) for lx in lags):
             return cand
     raise NotFound("sampling failed to find a common opposite")
@@ -318,7 +304,8 @@ def common_opposite(lags, rng=None, max_tries: int = 4000) -> Lagrangian:
 
 
 class PairFrame:
-    """Coordinates relative to an opposite pair (x, y).
+    """Coordinates relative to an opposite pair (x, y); building one is
+    the one place that decides whether x and y are opposite.
 
     With b the canonical basis of x and c the basis of y h-dual to it
     (h(c, b) = 1), the frame F = [b | c] has the standard Gram matrix G.
@@ -326,22 +313,19 @@ class PairFrame:
     maps top = h(c, .) = c^J G and bot = -eps h(b, .) = -eps b^J G.
     """
 
-    __slots__ = ("space", "top", "bot", "inverse")
+    __slots__ = ("space", "top", "bot")
 
     def __init__(self, x: Lagrangian, y: Lagrangian):
         space = _check_space(x, y)
-        ctx = space.ctx
         b = x.canonical
         try:
             c = y.basis * space.pairing(y.basis, b).jt().inverse()
         except SingularInput as exc:
-            raise NotOpposite("the Lagrangians are not opposite") from exc
+            raise NotPairwiseOpposite(
+                "the Lagrangians are not opposite") from exc
         self.space = space
-        self.top = c.jt() * space.gram
-        self.bot = (b.jt() * space.gram).scale(ctx.from_int(-ctx.epsilon))
-        self.inverse = self.top.vstack(self.bot)
-        if self.inverse * b.hstack(c) != Matrix.identity(ctx, space.dim):
-            raise ValidationError("frame coordinates do not invert the frame")
+        self.top = space.covector(c)
+        self.bot = space.covector(-b if space.ctx.epsilon == 1 else b)
 
     def kappa(self, z: Lagrangian) -> FormMatrix:
         """The invariant t of (x, y, z): z in this frame is the graph of t."""
@@ -364,7 +348,7 @@ def standardize_pair(x: Lagrangian, y: Lagrangian) -> UnitaryElement:
     """A unitary g with g(x) = standard X and g(y) = standard Y: the
     inverse of the frame of the pair."""
     frame = PairFrame(x, y)
-    return UnitaryElement(frame.space, frame.inverse)
+    return UnitaryElement(frame.space, frame.top.vstack(frame.bot))
 
 
 def kappa(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> FormMatrix:
@@ -374,11 +358,7 @@ def kappa(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> FormMatrix:
     invertible eps-hermitian matrix t, returned here; its congruence
     class is independent of all basis choices.
     """
-    try:
-        frame = PairFrame(x, y)
-    except NotOpposite as exc:
-        raise NotPairwiseOpposite(str(exc)) from exc
-    return frame.kappa(z)
+    return PairFrame(x, y).kappa(z)
 
 
 def holonomy(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> Matrix:

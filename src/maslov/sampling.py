@@ -80,7 +80,7 @@ def random_opposite_triple(space: HyperbolicSpace, rng):
     x0, y0 = space.standard_pair()
     t = random_hermitian_invertible(space.ctx, space.n, rng)
     g = random_unitary(space, rng)
-    return g(x0), g(y0), (g * u_t(space, t))(y0)
+    return g(x0), g(y0), g(u_t(space, t)(y0))
 
 
 def random_opposite_quadruple(space: HyperbolicSpace, rng, max_tries=200):
@@ -96,8 +96,8 @@ def random_opposite_quadruple(space: HyperbolicSpace, rng, max_tries=200):
         if not (t.mat.inverse() - tp.mat.inverse()).is_invertible():
             continue
         g = random_unitary(space, rng)
-        return (g(x0), g(y0), (g * u_t(space, t))(y0),
-                (g * u_t(space, tp))(y0))
+        return (g(x0), g(y0), g(u_t(space, t)(y0)),
+                g(u_t(space, tp)(y0)))
     raise NotFound("quadruple sampling exhausted its tries")
 
 

@@ -443,11 +443,12 @@ class WittClass:
         return self.signed_disc().is_identity()
 
     def to_json(self):
+        disc = self.signed_disc()
         out = {
             "dim_mod2": self.dim_mod2(),
-            "disc": self.signed_disc().to_json(),
+            "disc": disc.to_json(),
             "is_zero": self.is_zero(),
-            "in_II": self.in_II(),
+            "in_II": disc.is_identity(),
             "representative": [self.ctx.scalar_to_json(e) for e in self.diag],
         }
         if self.ctx.kind == "Q":

@@ -347,3 +347,61 @@ def test_golden_witt_and_kappa_reports(job, capsys):
     assert cli.run(job["argv"]) == 0
     expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
     assert capsys.readouterr().out == expected
+
+
+GOLDEN_FRAME = json.loads(
+    (Path(__file__).parent / "data" / "golden_frame_reports.json")
+    .read_text())
+
+
+@pytest.mark.parametrize("job", GOLDEN_FRAME, ids=lambda job: " ".join(
+    job["argv"][:3]))
+def test_golden_frame_reports(job, capsys):
+    # kappa and maslov with each pair of X, Y, Z not opposite, a tau off
+    # the generic locus, and the three sampled checks at ranks 1 and 2:
+    # the exit status, error name, message and report must not change
+    assert cli.run(job["argv"]) == job["status"]
+    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+
+
+def file_error(capsys, *argv):
+    code = cli.run(["witt", *argv])
+    report = json.loads(capsys.readouterr().out)    # one report, no more
+    return code, report["error"], report["message"]
+
+
+def test_missing_input_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert file_error(capsys, "--input", f"@{path}") == (
+        2, "ParseError", f"cannot open {path}: No such file or directory")
+
+
+def test_input_directory_exits_2(tmp_path, capsys):
+    assert file_error(capsys, "--input", f"@{tmp_path}") == (
+        2, "ParseError", f"cannot open {tmp_path}: Is a directory")
+
+
+def test_input_file_not_in_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"matrix": [["é"]]}'.encode("latin-1"))
+    code, error, message = file_error(capsys, "--input", f"@{path}")
+    assert (code, error) == (2, "ParseError")
+    assert message.startswith("bad input JSON: 'utf-8' codec can't decode")
+
+
+def test_output_directory_is_refused_before_the_job_runs(tmp_path, capsys):
+    assert file_error(capsys, "--input", '{"matrix":[["1"]]}', "--output",
+                      str(tmp_path)) == (
+        2, "ParseError", f"cannot open {tmp_path}: Is a directory")
+
+
+def test_witt_of_a_large_square_factors_it(capsys):
+    # <(2^61 - 1)^2, 1> = <1, 1>: the square is found by an integer root,
+    # where Pollard rho alone ran out of its budget after 2 s
+    started = time.monotonic()
+    assert cli.run(["witt", "--input", '{"matrix":[["53169119831396634870'
+                    '03542222693990401","0"],["0","1"]]}']) == 0
+    assert time.monotonic() - started < 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["outputs"]["witt"]["representative"] == ["1", "1"]

@@ -1,5 +1,6 @@
 """The cocycle, its boundary, the reduction, Kashiwara's form, censuses."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,16 @@ from maslov.errors import (
 )
 from maslov.fields import FieldCtx
 from maslov.forms import FormMatrix, is_isometric, radical_split
-from maslov.lagrange import HyperbolicSpace, Lagrangian, u_t, w_element
+from maslov.lagrange import (
+    HyperbolicSpace,
+    Lagrangian,
+    PairFrame,
+    UnitaryElement,
+    kappa,
+    standardize_pair,
+    u_t,
+    w_element,
+)
 from maslov.linalg import Matrix
 from maslov.cocycle import (
     BasedTriple,
@@ -46,8 +56,8 @@ F3 = FieldCtx("Fp", p=3)
 F5 = FieldCtx("Fp", p=5)
 F9 = FieldCtx("Fp2", p=3)
 QI = FieldCtx("QSqrt", d=-1)
-SKEW_F3, SKEW_Q, SKEW_F9, SKEW_QI = (
-    FieldCtx(c.kind, p=c.p, d=c.d, epsilon=-1) for c in (F3, Q, F9, QI))
+SKEW_F3, SKEW_Q, SKEW_F5, SKEW_F9, SKEW_QI = (
+    FieldCtx(c.kind, p=c.p, d=c.d, epsilon=-1) for c in (F3, Q, F5, F9, QI))
 
 
 def diag(ctx, entries, eps=1):
@@ -132,6 +142,50 @@ def test_relation_check_random(ctx):
         t = FormMatrix(ctx, t_mat, r.eps)
         assert relation_check(r, s, t).is_zero()
         done += 1
+
+
+@pytest.mark.parametrize("ctx", [Q, F5, F9, QI, SKEW_F5, SKEW_F9], ids=repr)
+def test_the_pair_frame_alone_decides_opposition(ctx):
+    # one Lagrangian of a six-way opposite quadruple is replaced by another
+    # basis of a second one, so exactly one pair of spans is not opposite;
+    # every entry point reports it as NotPairwiseOpposite
+    sp = HyperbolicSpace(ctx, 2)
+    quad = random_opposite_quadruple(sp, rng_for(61, 0))
+    two = ctx.from_int(2)
+    messages = {(0, 1): "the Lagrangians are not opposite",
+                (0, 2): "third Lagrangian is not opposite the first",
+                (1, 2): "third Lagrangian is not opposite the second"}
+    for i, j in itertools.combinations(range(4), 2):
+        lags = list(quad)
+        lags[j] = Lagrangian(sp, lags[i].basis.scale(two))
+        with pytest.raises(NotPairwiseOpposite):
+            boundary_defect(*lags)
+        if j == 3:
+            continue
+        a, b, triple = lags[i], lags[j], lags[:3]
+        for call in (lambda: PairFrame(a, b), lambda: standardize_pair(a, b),
+                     lambda: BasedTriple(*triple)):
+            with pytest.raises(NotPairwiseOpposite):
+                call()
+        for call in (kappa, maslov):
+            with pytest.raises(NotPairwiseOpposite, match=messages[i, j]):
+                call(*triple)
+
+
+@pytest.mark.parametrize("ctx", [Q, F5, F9, QI, SKEW_F5, SKEW_F9], ids=repr)
+def test_tau_off_the_generic_locus(ctx):
+    # (o, g o, g h o) with one repeated Lagrangian in each position: only
+    # the symplectic Kashiwara value is defined there
+    sp = HyperbolicSpace(ctx, 2)
+    o = sp.standard_pair()[0]
+    one = UnitaryElement(sp, Matrix.identity(ctx, 4))
+    w = w_element(sp)
+    for g, h in ((one, w), (w, w.inverse()), (w, one)):
+        if ctx.has_trivial_involution and ctx.epsilon == 1:
+            assert tau(g, h) == kashiwara_class(o, g(o), (g * h)(o))
+        else:
+            with pytest.raises(NonGeneric):
+                tau(g, h)
 
 
 # ---------------------------------------------------------------------------

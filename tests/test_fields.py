@@ -97,6 +97,16 @@ def test_factorize_has_a_rho_budget():
     assert fields.RHO_STEPS == 1 << 20
 
 
+def test_factorize_splits_perfect_powers():
+    # rho needs about p^(1/2) steps to split p^k; an integer root does not
+    m61, q = 2**61 - 1, 1000003
+    assert factorize(m61**2) == {m61: 2}
+    assert factorize(-m61**3) == {m61: 3}
+    assert factorize(m61**2 * q) == {m61: 2, q: 1}
+    assert factorize(q**2 * m61) == {q: 2, m61: 1}
+    assert factorize((m61 * q)**2 * 2**5) == {2: 5, q: 2, m61: 2}
+
+
 def test_norm_class_examples():
     q = FieldCtx("Q")
     assert norm_subgroup_class(q, Fraction(18)).rep == 2

@@ -7,7 +7,6 @@ import pytest
 from maslov.errors import (
     NotFound,
     NotHermitian,
-    NotOpposite,
     NotPairwiseOpposite,
     SingularInput,
     TooLarge,
@@ -258,7 +257,7 @@ def test_standardize_swapped_pair():
 def test_standardize_rejects_non_opposite():
     sp = HyperbolicSpace(Q, 1)
     x0, _ = sp.standard_pair()
-    with pytest.raises(NotOpposite):
+    with pytest.raises(NotPairwiseOpposite):
         standardize_pair(x0, x0)
 
 
