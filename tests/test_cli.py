@@ -365,6 +365,23 @@ def test_golden_frame_reports(job, capsys):
     assert capsys.readouterr().out == expected
 
 
+GOLDEN_PRODUCT = json.loads(
+    (Path(__file__).parent / "data" / "golden_product_reports.json")
+    .read_text())
+
+
+@pytest.mark.parametrize("job", GOLDEN_PRODUCT, ids=lambda job: " ".join(
+    job["argv"][:3]))
+def test_golden_product_reports(job, capsys):
+    # kappa, maslov, kashiwara and tau at ranks 1 to 3 over Q, Q(sqrt(2))
+    # and Q(sqrt(-1)) on seeded inputs, and the three sampled checks at
+    # rank 3: the matrix products over Q and Q(sqrt(d)) must not change
+    # a report or an exit status
+    assert cli.run(job["argv"]) == job["status"]
+    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+
+
 def file_error(capsys, *argv):
     code = cli.run(["witt", *argv])
     report = json.loads(capsys.readouterr().out)    # one report, no more
