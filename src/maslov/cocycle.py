@@ -323,10 +323,9 @@ def orbit_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
         rows = [list(r) for r in Matrix.identity(ctx, 2 * space.n).rows]
         rows[0], rows[space.n] = rows[space.n], rows[0]
         gens.append(UnitaryElement(space, Matrix(ctx, rows)))
-    # g preserves the form and the list is complete, so finding the
-    # canonical basis of g(lag) in it proves g(lag) a Lagrangian
-    perms = [[index.get((g.mat * lag.canonical).column_space_canonical())
-              for lag in lags] for g in gens]
+    # g preserves the form and the list is complete, so each image g(lag)
+    # must be found in it
+    perms = [[index.get(g(lag).canonical) for lag in lags] for g in gens]
     if any(None in perm for perm in perms):
         raise ValidationError("a generator image is not in the list")
 

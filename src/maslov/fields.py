@@ -80,7 +80,8 @@ def _factorize_abs(n: int):
     return tuple(sorted(out.items()))
 
 
-# Pollard rho steps one factorize call may take before it gives up
+# Pollard rho steps one factorize call may take before it gives up; a step
+# on a cofactor of w 128-bit words costs w^2 steps
 RHO_STEPS = 1 << 20
 _RHO_BATCH = 64
 
@@ -111,6 +112,7 @@ def _factor_large(n: int, budget: list) -> list:
     import random as _random
 
     rng = _random.Random(n)
+    cost = _RHO_BATCH * ((n.bit_length() + 127) // 128) ** 2
     while True:
         c = rng.randrange(1, n)
         x = y = rng.randrange(2, n)
@@ -119,7 +121,7 @@ def _factor_large(n: int, budget: list) -> list:
             if budget[0] <= 0:
                 raise TooLarge(f"factoring a {n.bit_length()}-bit cofactor "
                                f"takes over {RHO_STEPS} Pollard rho steps")
-            budget[0] -= _RHO_BATCH
+            budget[0] -= cost
             q = 1
             for _ in range(_RHO_BATCH):
                 x = (x * x + c) % n
@@ -218,9 +220,10 @@ class Scalar:
 # Arithmetic kernels: one per field, on the raw values scalars and matrices
 # hold.  Each has name (the field in FieldCtx's repr), zero, one, wrap (raw
 # -> scalar), unwrap (scalar or int -> raw; elements of another field
-# raise), conj, neg, add, sub, mul, inv and, on rows u and v of raw values,
-# dot(u, v), axpy(u, f, v) = u - f v and scale(u, c) = u c.  The kernels
-# behind ``Scalar`` add div and show (raw -> repr), the quadratic ones gen.
+# raise), conj, neg, add, sub, mul, inv, matmul(a, b) on tuples of raw rows
+# and, on rows u and v, axpy(u, f, v) = u - f v and scale(u, c) = u c.  The
+# kernels behind ``Scalar`` add div and show (raw -> repr), the quadratic
+# ones gen.
 
 
 class _Kernel:
@@ -264,9 +267,13 @@ class _FpKernel(_Kernel):
         self.sub = lambda a, b: (a - b) % p
         self.mul = lambda a, b: a * b % p
         self.inv = lambda a: pow(a, -1, p)
-        self.dot = lambda u, v: sum(map(operator.mul, u, v)) % p
         self.axpy = lambda u, f, v: [(a - f * b) % p for a, b in zip(u, v)]
         self.scale = lambda u, c: [a * c % p for a in u]
+
+    def matmul(self, x, y):
+        cols, p, mul = tuple(zip(*y)), self.p, operator.mul
+        return tuple(tuple([sum(map(mul, u, v)) % p for v in cols])
+                     for u in x)
 
 
 class _Fp2Kernel(_Kernel):
@@ -294,13 +301,19 @@ class _Fp2Kernel(_Kernel):
         n = pow((a * a - self.nu * b * b) % p, -1, p)
         return (a * n % p, -b * n % p)
 
-    def dot(self, u, v):
-        re = im = ww = 0
-        for (a, b), (c, d) in zip(u, v):
-            re += a * c
-            ww += b * d
-            im += a * d + b * c
-        return ((re + self.nu * ww) % self.p, im % self.p)
+    def matmul(self, x, y):
+        cols, p, nu, out = tuple(zip(*y)), self.p, self.nu, []
+        for u in x:
+            row = []
+            for v in cols:
+                re = im = ww = 0
+                for (a, b), (c, d) in zip(u, v):
+                    re += a * c
+                    ww += b * d
+                    im += a * d + b * c
+                row.append(((re + nu * ww) % p, im % p))
+            out.append(tuple(row))
+        return tuple(out)
 
     def axpy(self, u, f, v):
         (c, d), p = f, self.p
@@ -315,6 +328,16 @@ class _Fp2Kernel(_Kernel):
 
 
 _F0, _F1 = Fraction(0), Fraction(1)
+
+
+def _over_lcm(vectors):
+    # each vector of Fractions as (n, its entries times n), n the lcm of
+    # its denominators
+    out = []
+    for v in vectors:
+        n = math.lcm(*[x.denominator for x in v])
+        out.append((n, [x.numerator * (n // x.denominator) for x in v]))
+    return out
 
 
 class _QuadKernel(_Kernel):
@@ -341,13 +364,15 @@ class _QuadKernel(_Kernel):
         n = a * a - self.d * b * b
         return (a / n, -b / n)
 
-    def dot(self, u, v):
-        re = im = dd = _F0
-        for (a, b), (c, e) in zip(u, v):
-            re += a * c
-            dd += b * e
-            im += a * e + b * c
-        return (re + self.d * dd, im)
+    def matmul(self, x, y):
+        # one product over Q: for x = x0 + x1 sqrt(d) and y likewise,
+        # [x0 | x1] [[y0, y1], [d y1, y0]] = [x0 y0 + d x1 y1 | x0 y1 + x1 y0]
+        d, n = self.d, len(y[0]) if y else 0
+        z = _ScalarKernel.matmul(
+            [[a for a, _ in r] + [b for _, b in r] for r in x],
+            [[a for a, _ in r] + [b for _, b in r] for r in y]
+            + [[d * b for _, b in r] + [a for a, _ in r] for r in y])
+        return tuple(tuple(zip(r[:n], r[n:])) for r in z)
 
     def axpy(self, u, f, v):
         c, e = f
@@ -382,8 +407,12 @@ class _ScalarKernel:
         raise ValidationError(f"{x!r} is not an element of Q")
 
     @staticmethod
-    def dot(u, v):
-        return sum(map(operator.mul, u[1:], v[1:]), u[0] * v[0])
+    def matmul(x, y):
+        # rows of x and columns of y over one denominator each: an entry
+        # is one int dot product and one Fraction
+        mul, cols = operator.mul, _over_lcm(zip(*y))
+        return tuple(tuple([Fraction(sum(map(mul, a, c)), n * m)
+                            for m, c in cols]) for n, a in _over_lcm(x))
 
 
 _KERNELS = weakref.WeakValueDictionary()

@@ -5,6 +5,9 @@ The hyperbolic module of rank n over a context with sign eps carries the
 standard basis.  A triple of pairwise opposite Lagrangians is classified
 up to the unitary group by an invertible eps-hermitian n x n matrix,
 computed here by moving the first two Lagrangians to the standard pair.
+
+The constructors of Lagrangian and UnitaryElement check their input;
+closed operations, whose results hold by construction, use ``_of``.
 """
 
 from __future__ import annotations
@@ -79,14 +82,14 @@ class HyperbolicSpace:
     def standard_pair(self):
         eye = Matrix.identity(self.ctx, self.n)
         zero = Matrix.zeros(self.ctx, self.n, self.n)
-        return (Lagrangian(self, eye.vstack(zero)),
-                Lagrangian(self, zero.vstack(eye)))
+        return (Lagrangian._of(self, eye.vstack(zero)),
+                Lagrangian._of(self, zero.vstack(eye)))
 
 
 class Lagrangian:
     """Half-dimensional totally isotropic subspace, held as a column span."""
 
-    __slots__ = ("space", "basis", "canonical")
+    __slots__ = ("space", "basis", "_canonical")
 
     def __init__(self, space: HyperbolicSpace, basis: Matrix):
         n = space.n
@@ -94,12 +97,22 @@ class Lagrangian:
             raise ValidationError("Lagrangian basis must be 2n x n")
         if not space.pairing(basis, basis).is_zero():
             raise ValidationError("subspace is not totally isotropic")
-        canonical = basis.column_space_canonical()
-        if canonical.n != n:
+        self.space, self.basis, self._canonical = space, basis, None
+        if self.canonical.n != n:
             raise ValidationError("basis does not have full column rank")
-        self.space = space
-        self.basis = basis
-        self.canonical = canonical
+
+    @classmethod
+    def _of(cls, space, basis):
+        out = cls.__new__(cls)
+        out.space, out.basis, out._canonical = space, basis, None
+        return out
+
+    @property
+    def canonical(self):
+        """The reduced column echelon basis, computed once."""
+        if self._canonical is None:
+            self._canonical = self.basis.column_space_canonical()
+        return self._canonical
 
     def __eq__(self, other):
         if not isinstance(other, Lagrangian):
@@ -126,19 +139,27 @@ class UnitaryElement:
         self.space = space
         self.mat = mat
 
+    @classmethod
+    def _of(cls, space, mat):
+        out = cls.__new__(cls)
+        out.space, out.mat = space, mat
+        return out
+
     def __mul__(self, other):
         if isinstance(other, UnitaryElement):
             if other.space != self.space:
                 raise SpaceMismatch("composition across spaces")
-            return UnitaryElement(self.space, self.mat * other.mat)
+            return UnitaryElement._of(self.space, self.mat * other.mat)
         return NotImplemented
 
     def inverse(self):
-        return UnitaryElement(self.space, self.mat.inverse())
+        return UnitaryElement._of(self.space, self.mat.inverse())
 
     def __call__(self, x):
         if isinstance(x, Lagrangian):
-            return Lagrangian(self.space, self.mat * x.basis)
+            if x.space != self.space:
+                raise SpaceMismatch("Lagrangian from another space")
+            return Lagrangian._of(self.space, self.mat * x.basis)
         if isinstance(x, Matrix):
             return self.mat * x
         raise ValidationError(f"cannot apply a unitary element to {x!r}")
@@ -168,7 +189,7 @@ def u_t(space: HyperbolicSpace, t) -> UnitaryElement:
         raise NotHermitian("translation block has the wrong symmetry")
     eye = Matrix.identity(ctx, space.n)
     zero = Matrix.zeros(ctx, space.n, space.n)
-    return UnitaryElement(space, Matrix.block2(eye, t.mat, zero, eye))
+    return UnitaryElement._of(space, Matrix.block2(eye, t.mat, zero, eye))
 
 
 def ell_a(space: HyperbolicSpace, a) -> UnitaryElement:
@@ -180,14 +201,15 @@ def ell_a(space: HyperbolicSpace, a) -> UnitaryElement:
     except SingularInput as exc:
         raise SingularInput("Levi parameter must be invertible") from exc
     zero = Matrix.zeros(ctx, space.n, space.n)
-    return UnitaryElement(space, Matrix.block2(a_inv_j, zero, zero, am))
+    return UnitaryElement._of(space, Matrix.block2(a_inv_j, zero, zero, am))
 
 
 def w_element(space: HyperbolicSpace) -> UnitaryElement:
     """The Weyl element [[0, 1], [-eps, 0]] = -eps G; swaps the standard
     pair."""
     ctx = space.ctx
-    return UnitaryElement(space, space.gram.scale(ctx.from_int(-ctx.epsilon)))
+    return UnitaryElement._of(space,
+                              space.gram.scale(ctx.from_int(-ctx.epsilon)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +277,7 @@ def enumerate_lagrangians(space: HyperbolicSpace, limit: int = 500000):
     out = []
     for basis in subspaces(ctx, space.dim, n):
         if space.pairing(basis, basis).is_zero():
-            out.append(Lagrangian(space, basis))
+            out.append(Lagrangian._of(space, basis))
     return out
 
 
@@ -293,7 +315,7 @@ def common_opposite(lags, rng=None, max_tries: int = 4000) -> Lagrangian:
         raw = Matrix(ctx, [[ctx.random_element(rng, span) for _ in range(n)]
                            for _ in range(n)])
         t = raw + raw.jt().scale(ctx.from_int(ctx.epsilon))
-        cand = Lagrangian(space, t.vstack(eye))
+        cand = Lagrangian._of(space, t.vstack(eye))
         if all(is_opposite(cand, lx) for lx in lags):
             return cand
     raise NotFound("sampling failed to find a common opposite")
@@ -348,7 +370,7 @@ def standardize_pair(x: Lagrangian, y: Lagrangian) -> UnitaryElement:
     """A unitary g with g(x) = standard X and g(y) = standard Y: the
     inverse of the frame of the pair."""
     frame = PairFrame(x, y)
-    return UnitaryElement(frame.space, frame.top.vstack(frame.bot))
+    return UnitaryElement._of(frame.space, frame.top.vstack(frame.bot))
 
 
 def kappa(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> FormMatrix:

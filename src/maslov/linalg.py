@@ -148,10 +148,8 @@ class Matrix:
         if self.n != other.m:
             raise DimensionMismatch(
                 f"cannot multiply {self.m}x{self.n} by {other.m}x{other.n}")
-        dot = self.ctx.kernel.dot
-        cols = tuple(zip(*other.raw))
-        return Matrix._of(self.ctx, tuple(
-            tuple([dot(r, c) for c in cols]) for r in self.raw))
+        return Matrix._of(self.ctx,
+                          self.ctx.kernel.matmul(self.raw, other.raw))
 
     def transpose(self):
         return Matrix._of(self.ctx, tuple(zip(*self.raw)))

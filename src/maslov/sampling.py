@@ -110,7 +110,7 @@ def random_based_triple(space: HyperbolicSpace, rng):
     n = space.n
 
     def rebase(lag):
-        return Lagrangian(space, lag.basis * random_invertible(
+        return Lagrangian._of(space, lag.basis * random_invertible(
             ctx, n, rng, span=2))
 
     return BasedTriple(rebase(x), rebase(y), rebase(z))

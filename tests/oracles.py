@@ -6,10 +6,12 @@
 * Scalar arithmetic written as plain formulas: ints mod p, int pairs mod p
   with w^2 = nu, and Fraction pairs with w^2 = d.  They share no code with
   the field kernels they check.
+* The matrix product on raw values, one oracle operation per term.
 * Form constructors: diagonal forms from rationals and direct sums.
 * Congruence diagonalization on scalars.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -148,6 +150,14 @@ class PairOracle:
             return (a / n, b / n)
         ninv = pow(n % self.p, self.p - 2, self.p)
         return self._r(a * ninv, b * ninv)
+
+
+def termwise_product(a, b, add, mul, zero):
+    """The product of the matrices a and b of raw values (tuples of rows),
+    summed term by term with the scalar operations add and mul: over Q on
+    Fractions, with no common denominator."""
+    return tuple(tuple(functools.reduce(add, map(mul, r, c), zero)
+                       for c in zip(*b)) for r in a)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: reports, determinism, exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -422,3 +423,16 @@ def test_witt_of_a_large_square_factors_it(capsys):
     assert time.monotonic() - started < 1
     report = json.loads(capsys.readouterr().out)
     assert report["outputs"]["witt"]["representative"] == ["1", "1"]
+
+
+def test_witt_of_a_huge_entry_is_refused_at_once(capsys):
+    # Pollard rho charges a step on a wide cofactor by its size: a random
+    # odd 1000- or 3000-bit entry exits 2 with TooLarge within 2 s
+    for bits in (1000, 3000):
+        n = random.Random(f"witt:{bits}").getrandbits(bits)
+        matrix = json.dumps({"matrix": [[str(n | 1 << (bits - 1) | 1)]]})
+        started = time.monotonic()
+        code, error, message = file_error(capsys, "--input", matrix)
+        assert time.monotonic() - started < 2
+        assert (code, error) == (2, "TooLarge")
+        assert "-bit cofactor takes over" in message

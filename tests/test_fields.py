@@ -1,6 +1,7 @@
 """Scalar arithmetic, involutions, and norm-subgroup classes."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,18 @@ def test_factorize_has_a_rho_budget():
     with pytest.raises(TooLarge):
         factorize(big)
     assert fields.RHO_STEPS == 1 << 20
+
+
+def test_rho_budget_is_charged_by_cofactor_size():
+    # a step on a cofactor of w 128-bit words costs w^2 steps of the
+    # budget, so huge cofactors are refused at once: random odd 1000- and
+    # 3000-bit numbers took 14 s and 135 s when every step cost one
+    for bits in (1000, 3000):
+        n = random.Random(bits).getrandbits(bits) | 1 << (bits - 1) | 1
+        started = time.monotonic()
+        with pytest.raises(TooLarge, match="-bit cofactor takes over"):
+            factorize(n)
+        assert time.monotonic() - started < 2
 
 
 def test_factorize_splits_perfect_powers():

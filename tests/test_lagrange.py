@@ -9,7 +9,9 @@ from maslov.errors import (
     NotHermitian,
     NotPairwiseOpposite,
     SingularInput,
+    SpaceMismatch,
     TooLarge,
+    ValidationError,
 )
 from maslov.fields import FieldCtx
 from maslov.forms import FormMatrix, is_isometric
@@ -29,9 +31,11 @@ from maslov.lagrange import (
 )
 from maslov.linalg import Matrix
 from maslov.sampling import (
+    random_based_triple,
     random_hermitian,
     random_hermitian_invertible,
     random_invertible,
+    random_opposite_quadruple,
     random_opposite_triple,
     random_unitary,
     rng_for,
@@ -245,6 +249,64 @@ def test_standardize_pair_properties(ctx):
         gz = g(z.basis)
         top, bot = Matrix(ctx, gz.rows[:2]), Matrix(ctx, gz.rows[2:])
         assert kappa(x, y, z).mat == top * bot.inverse()
+
+
+@pytest.mark.parametrize("ctx", [
+    Q, F5, F9, QI, FieldCtx("Fp", p=5, epsilon=-1),
+    FieldCtx("QSqrt", d=2, epsilon=-1)], ids=repr)
+def test_trusted_results_pass_the_checked_constructors(ctx):
+    # products, inverses, the standard elements, the frame's unitary and
+    # the samplers' Lagrangians are built unchecked; the checked
+    # constructors accept each one and build an equal object
+    for n in (1, 2, 3):
+        sp = HyperbolicSpace(ctx, n)
+        rng = rng_for(97, n)
+        pair = sp.standard_pair()
+        lags = list(pair)
+        units = [w_element(sp), ell_a(sp, random_invertible(ctx, n, rng))]
+        try:
+            units.append(u_t(sp, random_hermitian(ctx, n, rng)))
+            units.append(random_unitary(sp, rng))
+            pair = random_opposite_quadruple(sp, rng)
+            lags += pair
+            lags += random_opposite_triple(sp, rng)
+            bt = random_based_triple(sp, rng)
+            lags += [bt.v0, bt.v1, bt.v2]
+            lags.append(common_opposite(lags[:2], rng))
+        except NotFound:
+            # no nonzero 1 x 1 or invertible 3 x 3 alternating form
+            assert ctx.has_trivial_involution and n % 2
+        units.append(standardize_pair(*pair[:2]))
+        units += [g * h for g in units for h in units[-2:]]
+        units += [g.inverse() for g in units]
+        for g in units:
+            assert UnitaryElement(sp, g.mat) == g
+        lags += [g(x) for g in units[:4] for x in lags[:4]]
+        for x in lags:
+            assert x.canonical == x.basis.column_space_canonical()
+            assert Lagrangian(sp, x.basis) == x
+    if ctx.is_finite:
+        for x in enumerate_lagrangians(HyperbolicSpace(ctx, 1)):
+            assert x.canonical == x.basis
+            assert Lagrangian(x.space, x.basis) == x
+
+
+def test_constructors_check_the_shape_first():
+    # a square basis or a unitary of the wrong size is refused by name,
+    # before any pairing is formed
+    sp = HyperbolicSpace(Q, 2)
+    with pytest.raises(ValidationError, match="basis must be 2n x n"):
+        Lagrangian(sp, Matrix.identity(Q, 4))
+    with pytest.raises(ValidationError, match="has the wrong size"):
+        UnitaryElement(sp, Matrix.identity(Q, 3))
+
+
+def test_images_need_the_space_of_the_unitary():
+    # g(x) is built unchecked, so a Lagrangian of another space is refused
+    # before the product
+    x = HyperbolicSpace(FieldCtx("Q", epsilon=-1), 1).standard_pair()[0]
+    with pytest.raises(SpaceMismatch):
+        w_element(HyperbolicSpace(Q, 1))(x)
 
 
 def test_standardize_swapped_pair():

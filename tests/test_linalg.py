@@ -1,14 +1,18 @@
 """Exact matrix operations over each field kind."""
 
 import itertools
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
 from maslov.errors import DimensionMismatch, SingularInput, ValidationError
-from maslov.fields import FieldCtx
+from maslov.fields import FieldCtx, is_prime
 from maslov.lagrange import HyperbolicSpace
 from maslov.linalg import Matrix
+
+from oracles import PairOracle, PrimeFieldOracle, termwise_product
 
 CTXS = [
     FieldCtx("Q"),
@@ -267,3 +271,86 @@ def test_pairing_is_the_gram_product(ctx):
             assert space.pairing(u, v) == u.jt() * space.gram * v
         with pytest.raises(DimensionMismatch):
             space.pairing(u, random_matrix(ctx, 2 * n + 1, n, rng))
+
+
+# Matrix products against the term-by-term product of tests/oracles.py.
+# Over Q and Q(sqrt(d)) the kernels put each row and each column over the
+# lcm of its denominators; the entries below have 70-bit numerators and
+# pairwise coprime 70-bit prime denominators within a row (or a column),
+# so those lcms are as large as they get.  Half of the trials take small
+# shared denominators instead.
+
+SHAPES = [(k, k, k) for k in range(1, 7)] + [
+    (2, 5, 3), (5, 2, 4), (6, 1, 4), (1, 6, 1), (3, 4, 6), (4, 6, 2)]
+
+
+def prime_denominators(rng, count):
+    out = set()
+    while len(out) < count:
+        q = rng.getrandbits(70) | 1 << 69 | 1
+        while not is_prime(q):
+            q += 2
+        out.add(q)
+    return list(out)
+
+
+def rational_vector(rng, length, wide):
+    # Fractions with 70-bit numerators over coprime denominators (wide),
+    # or over denominators 1 to 6; some zeros and integers among them
+    dens = (prime_denominators(rng, length) if wide
+            else [rng.randint(1, 6) for _ in range(length)])
+    out = []
+    for den in dens:
+        pick = rng.random()
+        num = rng.randrange(-(1 << 70), 1 << 70)
+        out.append(Fraction(0) if pick < 0.1 else Fraction(num) if pick < 0.2
+                   else Fraction(num, den))
+    return out
+
+
+def raw_matrix(ctx, rng, m, n, wide, by_columns):
+    if ctx.kind == "Q":
+        rows = [rational_vector(rng, m if by_columns else n, wide)
+                for _ in range(n if by_columns else m)]
+    elif ctx.kind == "QSqrt":
+        # real and sqrt(d) parts of a row share its denominators
+        rows = []
+        for _ in range(n if by_columns else m):
+            v = rational_vector(rng, 2 * (m if by_columns else n), wide)
+            rows.append(list(zip(v[::2], v[1::2])))
+    else:
+        return tuple(tuple(ctx.random_element(rng).raw for _ in range(n))
+                     for _ in range(m))
+    return tuple(zip(*rows)) if by_columns else tuple(map(tuple, rows))
+
+
+def oracle_ops(ctx):
+    if ctx.kind == "Q":
+        return operator.add, operator.mul, Fraction(0)
+    if ctx.kind == "Fp":
+        o, zero = PrimeFieldOracle(ctx.p), 0
+    elif ctx.kind == "Fp2":
+        o, zero = PairOracle(ctx.kernel.nu, ctx.p), (0, 0)
+    else:
+        o, zero = PairOracle(ctx.d), (Fraction(0), Fraction(0))
+    return o.add, o.mul, zero
+
+
+@pytest.mark.parametrize("ctx", [
+    FieldCtx("Q"), FieldCtx("QSqrt", d=-1), FieldCtx("QSqrt", d=2),
+    FieldCtx("QSqrt", d=-3), FieldCtx("Fp", p=5), FieldCtx("Fp2", p=3),
+], ids=repr)
+def test_products_match_the_termwise_product(ctx):
+    rng = random.Random(f"matmul:{ctx!r}")
+    add, mul, zero = oracle_ops(ctx)
+    for trial, (m, k, n) in enumerate(SHAPES * 4):
+        wide = trial % 2 == 0
+        a = Matrix._of(ctx, raw_matrix(ctx, rng, m, k, wide, False))
+        b = Matrix._of(ctx, raw_matrix(ctx, rng, k, n, wide, True))
+        got = (a * b).raw
+        assert got == termwise_product(a.raw, b.raw, add, mul, zero)
+        assert (len(got), len(got[0])) == (m, n)
+        if not ctx.is_finite:
+            parts = [x for r in got for e in r
+                     for x in (e if ctx.kind == "QSqrt" else (e,))]
+            assert all(type(x) is Fraction for x in parts)
