@@ -383,6 +383,22 @@ def test_golden_product_reports(job, capsys):
     assert capsys.readouterr().out == expected
 
 
+GOLDEN_CENSUS = json.loads(
+    (Path(__file__).parent / "data" / "golden_census_reports.json")
+    .read_text())
+
+
+@pytest.mark.parametrize("job", GOLDEN_CENSUS, ids=lambda job: " ".join(
+    job["argv"][2:5:2]))
+def test_golden_census_reports(job, capsys):
+    # rank 1 over F_3 to F_13, F_9, F_25 and F_49, rank 2 over F_3 and
+    # skew F_5 and F_7, eps = +-1: classes, orbit sizes, totals and the
+    # orbit check must not change with the way the census is computed
+    assert cli.run(job["argv"]) == job["status"]
+    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+
+
 def file_error(capsys, *argv):
     code = cli.run(["witt", *argv])
     report = json.loads(capsys.readouterr().out)    # one report, no more
