@@ -233,33 +233,17 @@ def reduced_maslov(bt: BasedTriple) -> WittClass:
 
 
 def _hermitian_additive_basis(ctx, n):
-    """Matrices additively generating the eps-hermitian n x n block."""
-    eps = ctx.epsilon
-    one = ctx.one()
-    out = []
-    fixed_gens = [one]
-    skew_gens = []
+    """Matrices additively generating the eps-hermitian n x n block: the
+    nonzero e + eps e^J, e = v E_ij, i <= j, v = 1 or a unit with v^J = -v."""
+    values = [ctx.one()]
     if not ctx.has_trivial_involution:
-        g = ctx.generator()  # g^J = -g
-        skew_gens = [g]
-    zero = Matrix.zeros(ctx, n, n)
-
-    def put(i, j, val):
-        rows = [list(r) for r in zero.rows]
-        rows[i][j] = val
-        return Matrix(ctx, rows)
-
-    for i in range(n):
-        # alternating forms (eps = -1, trivial J) have zero diagonal
-        diag_gens = fixed_gens if eps == 1 else skew_gens
-        for v in diag_gens:
-            out.append(put(i, i, v))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for v in fixed_gens + skew_gens:
-                m = put(i, j, v)
-                out.append(m + m.jt().scale(ctx.from_int(eps)))
-    return [m for m in out if not m.is_zero()]
+        values.append(ctx.generator())
+    units = [Matrix(ctx, [[v if (r, c) == (i, j) else ctx.zero()
+                           for c in range(n)] for r in range(n)])
+             for i in range(n) for j in range(i, n) for v in values]
+    eps = ctx.from_int(ctx.epsilon)
+    return [m for m in (e + e.jt().scale(eps) for e in units)
+            if not m.is_zero()]
 
 
 class CensusResult(NamedTuple):
@@ -271,87 +255,76 @@ class CensusResult(NamedTuple):
         return sorted(self.classes.values())
 
 
-def orbit_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
-    """Exhaustive census of pairwise opposite ordered triples, grouped by
-    the isometry class of the invariant, with a breadth-first check that
-    every class fiber is one orbit of the generated unitary group."""
-    ctx = space.ctx
-    if space.n > 2:
+def _orbit(start, perms):
+    """The indices the permutations reach from start."""
+    seen, todo = {start}, [start]
+    while todo:
+        i = todo.pop()
+        for perm in perms:
+            if perm[i] not in seen:
+                seen.add(perm[i])
+                todo.append(perm[i])
+    return seen
+
+
+def orbit_census(space: HyperbolicSpace) -> CensusResult:
+    """Census of pairwise opposite ordered triples by the isometry class
+    of the invariant, with a check that each class is one orbit.
+
+    A class holds L * H times a Levi orbit of third Lagrangians Z, for L
+    Lagrangians, H opposite X, and the Levi subgroup fixing the standard
+    pair (X, Y) (Witt's extension theorem).  Checked: (a) the group is
+    transitive on Lagrangians, (b) the translations on those opposite X,
+    (d) each generator keeps the key of each (X, Y, Z), (e) each key's Z
+    are one Levi orbit.
+    """
+    ctx, n = space.ctx, space.n
+    if n > 2:
         raise TooLarge("census is implemented for rank <= 2")
     lags = enumerate_lagrangians(space)
-    count = len(lags)
     index = {lag.canonical: i for i, lag in enumerate(lags)}
 
-    opp = [[False] * count for _ in range(count)]
-    for i in range(count):
-        for j in range(i + 1, count):
-            o = is_opposite(lags[i], lags[j])
-            opp[i][j] = o
-            opp[j][i] = o
-
-    # the triples grouped by ordered pair: (i, j, [k, ...]); past the
-    # limit they are only counted
-    pairs = []
-    total = 0
-    for i in range(count):
-        for j in range(count):
-            if opp[i][j]:
-                ks = [k for k in range(count) if opp[i][k] and opp[j][k]]
-                total += len(ks)
-                if total <= limit:
-                    pairs.append((i, j, ks))
-    if total > limit:
-        raise TooLarge(f"{total} triples exceed the limit {limit}")
-
-    # generators as permutations of the Lagrangian list
-    gens = [u_t(space, t) for t in _hermitian_additive_basis(ctx, space.n)]
-    if space.n == 1:
-        units = [Matrix(ctx, [[x]]) for x in ctx.nonzero_elements()]
-        gens += [ell_a(space, a) for a in units]
-    else:
-        invertibles = []
-        one, zero = ctx.one(), ctx.zero()
-        for x in ctx.nonzero_elements():
-            invertibles.append(Matrix(ctx, [[x, zero], [zero, one]]))
-            invertibles.append(Matrix(ctx, [[one, x], [zero, one]]))
-            invertibles.append(Matrix(ctx, [[one, zero], [x, one]]))
-        gens += [ell_a(space, a) for a in invertibles]
+    # the generators as permutations of the list, translations first
+    gens = [u_t(space, t) for t in _hermitian_additive_basis(ctx, n)]
+    translations = len(gens)
+    one, zero = ctx.one(), ctx.zero()
+    for v in ctx.nonzero_elements():
+        # the units, or the diagonal units and shears that generate GL_2
+        gens += [ell_a(space, Matrix(ctx, a)) for a in (
+            [[[v]]] if n == 1 else [[[v, zero], [zero, one]],
+                                    [[one, v], [zero, one]],
+                                    [[one, zero], [v, one]]])]
     gens.append(w_element(space))
     if ctx.has_trivial_involution and ctx.epsilon == -1:
-        # orthogonal case: every generator above has determinant 1; the
-        # reflection swapping e_1 and f_1 reaches the other half
-        rows = [list(r) for r in Matrix.identity(ctx, 2 * space.n).rows]
-        rows[0], rows[space.n] = rows[space.n], rows[0]
+        # orthogonal case: the generators above have determinant 1; the
+        # reflection swapping e_1 and f_1 reaches the rest
+        rows = [list(r) for r in Matrix.identity(ctx, 2 * n).rows]
+        rows[0], rows[n] = rows[n], rows[0]
         gens.append(UnitaryElement(space, Matrix(ctx, rows)))
-    # g preserves the form and the list is complete, so each image g(lag)
-    # must be found in it
+    # the list is complete, so it holds each image g(lag)
     perms = [[index.get(g(lag).canonical) for lag in lags] for g in gens]
     if any(None in perm for perm in perms):
         raise ValidationError("a generator image is not in the list")
 
-    fibers: dict = {}
-    for i, j, ks in pairs:
-        frame = PairFrame(lags[i], lags[j])
-        for k in ks:
-            key = isometry_key(frame.kappa(lags[k]))
-            fibers.setdefault(key, set()).add((i, j, k))
-
-    classes = {}
-    all_orbits = True
-    for key, fiber in fibers.items():
-        start = next(iter(fiber))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for (i, j, k) in frontier:
-                for perm in perms:
-                    img = (perm[i], perm[j], perm[k])
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        if seen != fiber:
-            all_orbits = False
-        classes[key] = len(fiber)
-    return CensusResult(classes, total, all_orbits)
+    x, y = (index[lag.canonical] for lag in space.standard_pair())
+    opposite = [i for i, lag in enumerate(lags) if is_opposite(lags[x], lag)]
+    # (c) the key of (X, Y, Z), Z opposite X and Y
+    frame, fibers = PairFrame(lags[x], lags[y]), {}
+    for z in opposite:
+        try:
+            key = isometry_key(frame.kappa(lags[z]))
+        except NotPairwiseOpposite:     # Z meets Y
+            continue
+        fibers.setdefault(key, set()).add(z)
+    ok = (len(_orbit(x, perms)) == len(lags)
+          and _orbit(y, perms[:translations]) == set(opposite))
+    for perm in perms:                  # (d)
+        frame = PairFrame(lags[perm[x]], lags[perm[y]])
+        ok = ok and all(isometry_key(frame.kappa(lags[perm[z]])) == key
+                        for key, fiber in fibers.items() for z in fiber)
+    levi = [perm for perm in perms if perm[x] == x and perm[y] == y]
+    ok = ok and all(_orbit(min(fiber), levi) == fiber        # (e)
+                    for fiber in fibers.values())
+    pairs = len(lags) * len(opposite)   # (f)
+    classes = {key: pairs * len(fiber) for key, fiber in fibers.items()}
+    return CensusResult(classes, sum(classes.values()), ok)

@@ -43,9 +43,16 @@ class FormMatrix:
         self.mat = m
         self.eps = eps
 
+    @classmethod
+    def _of(cls, ctx, mat, eps):
+        """Trusted constructor for forms hermitian by construction."""
+        out = cls.__new__(cls)
+        out.ctx, out.mat, out.eps = ctx, mat, eps
+        return out
+
     @staticmethod
     def diagonal(ctx, entries, eps=1):
-        return FormMatrix(ctx, Matrix.diagonal(ctx, list(entries)), eps)
+        return FormMatrix(ctx, Matrix.diagonal(ctx, entries), eps)
 
     @property
     def dim(self):
@@ -58,7 +65,7 @@ class FormMatrix:
         return self.mat.det()
 
     def neg(self):
-        return FormMatrix(self.ctx, -self.mat, self.eps)
+        return FormMatrix._of(self.ctx, -self.mat, self.eps)
 
     def __eq__(self, other):
         if not isinstance(other, FormMatrix):
@@ -79,7 +86,7 @@ def congruence(t: FormMatrix, g: Matrix) -> FormMatrix:
         raise DimensionMismatch("transform size does not match the form")
     if not g.is_invertible():
         raise SingularTransform("congruence transform must be invertible")
-    return FormMatrix(t.ctx, g.jt() * t.mat * g, t.eps)
+    return FormMatrix._of(t.ctx, g.jt() * t.mat * g, t.eps)
 
 
 class Diagonalization(NamedTuple):
@@ -164,7 +171,7 @@ def diagonalize(t: FormMatrix) -> Diagonalization:
 def radical_split(t: FormMatrix):
     """The form induced on a complement of the radical, plus radical dim."""
     dg = diagonalize(t)
-    nondeg = FormMatrix.diagonal(t.ctx, dg.diag, 1)
+    nondeg = FormMatrix._of(t.ctx, Matrix.diagonal(t.ctx, dg.diag), 1)
     return nondeg, dg.radical_dim
 
 

@@ -363,7 +363,7 @@ class PairFrame:
         if not t.is_invertible():
             raise NotPairwiseOpposite(
                 "third Lagrangian is not opposite the second")
-        return FormMatrix(self.space.ctx, t, self.space.ctx.epsilon)
+        return FormMatrix._of(self.space.ctx, t, self.space.ctx.epsilon)
 
 
 def standardize_pair(x: Lagrangian, y: Lagrangian) -> UnitaryElement:

@@ -43,7 +43,7 @@ def random_hermitian(ctx, n, rng, eps=None, span=3) -> FormMatrix:
                            for _ in range(n)])
         m = raw + raw.jt().scale(ctx.from_int(eps))
         if not m.is_zero():
-            return FormMatrix(ctx, m, eps)
+            return FormMatrix._of(ctx, m, eps)
 
 
 def random_hermitian_invertible(ctx, n, rng, eps=None, span=3) -> FormMatrix:

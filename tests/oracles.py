@@ -9,15 +9,37 @@
 * The matrix product on raw values, one oracle operation per term.
 * Form constructors: diagonal forms from rationals and direct sums.
 * Congruence diagonalization on scalars.
+* The orbit census over every ordered pairwise opposite triple.
 """
 
 import functools
 import itertools
 from fractions import Fraction
 
-from maslov.errors import ValidationError, WrongSymmetry, ZeroInput
+from maslov.cocycle import CensusResult, _hermitian_additive_basis
+from maslov.errors import (
+    TooLarge,
+    ValidationError,
+    WrongSymmetry,
+    ZeroInput,
+)
 from maslov.fields import INF, FieldCtx, legendre, squarefree_part
-from maslov.forms import Diagonalization, FormMatrix, hasse_invariant
+from maslov.forms import (
+    Diagonalization,
+    FormMatrix,
+    hasse_invariant,
+    isometry_key,
+)
+from maslov.lagrange import (
+    HyperbolicSpace,
+    PairFrame,
+    UnitaryElement,
+    ell_a,
+    enumerate_lagrangians,
+    is_opposite,
+    u_t,
+    w_element,
+)
 from maslov.linalg import Matrix
 from maslov.witt import _val_unit, hilbert_symbol
 
@@ -254,3 +276,96 @@ def scalar_diagonalize(t: FormMatrix) -> Diagonalization:
     if gm.jt() * t.mat * gm != expected:
         raise ValidationError("diagonalization witness failed")  # safety net
     return Diagonalization(diag, n - rank, gm)
+
+
+# ---------------------------------------------------------------------------
+# The full-triple orbit census
+
+
+def triple_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
+    """Exhaustive census of pairwise opposite ordered triples, grouped by
+    the isometry class of the invariant, with a breadth-first check that
+    every class fiber is one orbit of the generated unitary group.
+
+    It lists every triple and searches the orbits of triples, with no
+    use of the stabilizer of a pair, so it checks ``orbit_census``."""
+    ctx = space.ctx
+    if space.n > 2:
+        raise TooLarge("census is implemented for rank <= 2")
+    lags = enumerate_lagrangians(space)
+    count = len(lags)
+    index = {lag.canonical: i for i, lag in enumerate(lags)}
+
+    opp = [[False] * count for _ in range(count)]
+    for i in range(count):
+        for j in range(i + 1, count):
+            o = is_opposite(lags[i], lags[j])
+            opp[i][j] = o
+            opp[j][i] = o
+
+    # the triples grouped by ordered pair: (i, j, [k, ...]); past the
+    # limit they are only counted
+    pairs = []
+    total = 0
+    for i in range(count):
+        for j in range(count):
+            if opp[i][j]:
+                ks = [k for k in range(count) if opp[i][k] and opp[j][k]]
+                total += len(ks)
+                if total <= limit:
+                    pairs.append((i, j, ks))
+    if total > limit:
+        raise TooLarge(f"{total} triples exceed the limit {limit}")
+
+    # generators as permutations of the Lagrangian list
+    gens = [u_t(space, t) for t in _hermitian_additive_basis(ctx, space.n)]
+    if space.n == 1:
+        units = [Matrix(ctx, [[x]]) for x in ctx.nonzero_elements()]
+        gens += [ell_a(space, a) for a in units]
+    else:
+        invertibles = []
+        one, zero = ctx.one(), ctx.zero()
+        for x in ctx.nonzero_elements():
+            invertibles.append(Matrix(ctx, [[x, zero], [zero, one]]))
+            invertibles.append(Matrix(ctx, [[one, x], [zero, one]]))
+            invertibles.append(Matrix(ctx, [[one, zero], [x, one]]))
+        gens += [ell_a(space, a) for a in invertibles]
+    gens.append(w_element(space))
+    if ctx.has_trivial_involution and ctx.epsilon == -1:
+        # orthogonal case: every generator above has determinant 1; the
+        # reflection swapping e_1 and f_1 reaches the other half
+        rows = [list(r) for r in Matrix.identity(ctx, 2 * space.n).rows]
+        rows[0], rows[space.n] = rows[space.n], rows[0]
+        gens.append(UnitaryElement(space, Matrix(ctx, rows)))
+    # g preserves the form and the list is complete, so each image g(lag)
+    # must be found in it
+    perms = [[index.get(g(lag).canonical) for lag in lags] for g in gens]
+    if any(None in perm for perm in perms):
+        raise ValidationError("a generator image is not in the list")
+
+    fibers: dict = {}
+    for i, j, ks in pairs:
+        frame = PairFrame(lags[i], lags[j])
+        for k in ks:
+            key = isometry_key(frame.kappa(lags[k]))
+            fibers.setdefault(key, set()).add((i, j, k))
+
+    classes = {}
+    all_orbits = True
+    for key, fiber in fibers.items():
+        start = next(iter(fiber))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for (i, j, k) in frontier:
+                for perm in perms:
+                    img = (perm[i], perm[j], perm[k])
+                    if img not in seen:
+                        seen.add(img)
+                        nxt.append(img)
+            frontier = nxt
+        if seen != fiber:
+            all_orbits = False
+        classes[key] = len(fiber)
+    return CensusResult(classes, total, all_orbits)

@@ -60,7 +60,7 @@ def _random_shaped(rng):
             rng.choice(BAD_FIELDS + [json.dumps(f) for f in FIELDS])]
     inputs = {k: _random_value(rng)
               for k in rng.sample(KEYS, rng.randint(0, 5))}
-    # no rank here is 2: a rank-2 census alone takes a second
+    # half the jobs with no rank get n = 1, so their other keys are read
     if "n" not in inputs and rng.random() < 0.5:
         inputs["n"] = 1
     text = json.dumps(inputs) if rng.random() < 0.9 else rng.choice(
@@ -74,7 +74,8 @@ def _well_shaped(rng):
     ctx = FieldCtx(spec["kind"], p=spec.get("p"), d=spec.get("d"),
                    epsilon=spec["epsilon"])
     command = rng.choice(COMMANDS)
-    n = 1 if command in ("census", "lagrangians") else rng.choice((1, 2))
+    # a rank-2 census over F_3, F_5 or F_9 takes at most 0.35 s
+    n = 1 if command == "lagrangians" else rng.choice((1, 2))
     if command in ("kappa", "maslov", "kashiwara", "tau") and (
             ctx.has_trivial_involution and ctx.epsilon == -1):
         n = 2       # alternating forms of odd size are singular

@@ -1,10 +1,12 @@
 """The cocycle, its boundary, the reduction, Kashiwara's form, censuses."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
+from maslov import cli, cocycle
 from maslov.errors import (
     ConstraintViolated,
     NonGeneric,
@@ -49,7 +51,7 @@ from maslov.sampling import (
     rng_for,
 )
 from maslov.witt import SHatElement, witt_class
-from oracles import diagonal_rational
+from oracles import diagonal_rational, triple_census
 
 Q = FieldCtx("Q")
 F3 = FieldCtx("Fp", p=3)
@@ -459,9 +461,6 @@ def test_census_f3():
     assert res.sizes() == [12, 12]
     assert res.total == 24
     assert res.fibers_are_orbits
-    # the limit is enforced on the exact count of triples
-    with pytest.raises(TooLarge, match="^24 triples exceed the limit 23$"):
-        orbit_census(HyperbolicSpace(F3, 1), limit=23)
     with pytest.raises(TooLarge, match="rank <= 2"):
         orbit_census(HyperbolicSpace(F3, 3))
 
@@ -489,9 +488,101 @@ def test_census_f9_hermitian():
     assert res.fibers_are_orbits
 
 
-@pytest.mark.slow
 def test_census_f3_rank2():
     res = orbit_census(HyperbolicSpace(F3, 2))
     assert res.total == 19440
     assert len(res.classes) == 2
     assert res.fibers_are_orbits
+
+
+def _symmetric_rank2_classes(p):
+    """Invertible symmetric 2 x 2 matrices mod p by the square class of
+    the determinant (Euler's criterion)."""
+    counts = {}
+    for a, b, d in itertools.product(range(p), repeat=3):
+        det = (a * d - b * b) % p
+        if det:
+            cls = pow(det, (p - 1) // 2, p)
+            counts[cls] = counts.get(cls, 0) + 1
+    return sorted(counts.values())
+
+
+def _hermitian_rank2_invertible(p):
+    """Invertible hermitian 2 x 2 matrices over F_{p^2} = F_p(w), w^2 = nu
+    a non-residue: [[a, z], [z^J, d]] with a, d in F_p and det
+    a d - N(z), N(x + y w) = x^2 - nu y^2."""
+    nu = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    return sum(1 for a, d, x, y in itertools.product(range(p), repeat=4)
+               if (a * d - x * x + nu * y * y) % p)
+
+
+@pytest.mark.parametrize("ctx, lags, opposite, per_class, total", [
+    # L = (q + 1)(q^2 + 1) Lagrangians, q^3 symmetric t opposite X
+    (FieldCtx("Fp", p=5), 6 * 26, 5 ** 3, _symmetric_rank2_classes(5),
+     1950000),
+    # far more triples than the full-triple census can list
+    (FieldCtx("Fp", p=7), 8 * 50, 7 ** 3, _symmetric_rank2_classes(7),
+     40336800),
+    # L = (q + 1)(q^3 + 1), q^4 hermitian t; eps = -1 scales t by a
+    # trace-zero unit, which keeps the count
+    (F9, 4 * 28, 3 ** 4, [_hermitian_rank2_invertible(3)], 544320),
+    (SKEW_F9, 4 * 28, 3 ** 4, [_hermitian_rank2_invertible(3)], 544320),
+], ids=["F5", "F7", "F9", "skew F9"])
+def test_rank2_census_matches_an_independent_count(ctx, lags, opposite,
+                                                   per_class, total):
+    # each class holds L * H * |{invertible t in its determinant class}|
+    # triples; the counts are made here, not read from the census
+    res = orbit_census(HyperbolicSpace(ctx, 2))
+    sizes = [lags * opposite * c for c in per_class]
+    assert res.sizes() == sorted(sizes)
+    assert res.total == sum(sizes) == total
+    assert res.fibers_are_orbits
+
+
+ORACLE_CONTEXTS = (
+    [(FieldCtx("Fp", p=p, epsilon=eps), 1)
+     for p in (3, 5, 7, 11, 13) for eps in (1, -1)]
+    + [(FieldCtx("Fp2", p=p, epsilon=eps), 1)
+       for p in (3, 5, 7) for eps in (1, -1)]
+    + [(FieldCtx("Fp", p=p, epsilon=-1), 2) for p in (3, 5, 7)])
+
+
+@pytest.mark.parametrize("ctx, n", ORACLE_CONTEXTS + [
+    pytest.param(F3, 2, marks=pytest.mark.slow)],
+    ids=lambda v: repr(v) if isinstance(v, FieldCtx) else f"n={v}")
+def test_census_agrees_with_the_full_triple_oracle(ctx, n):
+    # the oracle lists every ordered opposite triple and searches orbits
+    # of triples; the census works through the stabilizer of one pair
+    space = HyperbolicSpace(ctx, n)
+    want = triple_census(space)
+    got = orbit_census(space)
+    assert got.classes == want.classes
+    assert got.total == want.total
+    assert got.fibers_are_orbits is want.fibers_are_orbits is True
+
+
+@pytest.mark.parametrize("fault", ["key", "levi", "translations"])
+def test_planted_census_faults_fail_the_orbit_check(fault, monkeypatch,
+                                                    capsys):
+    if fault == "key":
+        # a key that also reads the first entry of t is not invariant
+        true_key = cocycle.isometry_key
+        monkeypatch.setattr(cocycle, "isometry_key", lambda t: (
+            true_key(t), t.mat.rows[0][0]))
+    elif fault == "levi":
+        # Levi elements from the diagonal of a only: no shears, so the
+        # Levi orbits of t split
+        true_ell = cocycle.ell_a
+        monkeypatch.setattr(cocycle, "ell_a", lambda sp, a: true_ell(
+            sp, Matrix.diagonal(sp.ctx, [a.rows[i][i] for i in range(a.n)])))
+    else:
+        # one additive generator of the translations fewer
+        true_basis = cocycle._hermitian_additive_basis
+        monkeypatch.setattr(cocycle, "_hermitian_additive_basis",
+                            lambda ctx, n: true_basis(ctx, n)[1:])
+    res = orbit_census(HyperbolicSpace(F3, 2))
+    assert res.fibers_are_orbits is False
+    assert cli.run(["census", "--field", '{"kind":"Fp","p":3}',
+                    "--input", '{"n":2}']) == 1
+    check, = json.loads(capsys.readouterr().out)["checks"]
+    assert (check["name"], check["pass"]) == ("fibers-are-orbits", False)

@@ -14,10 +14,11 @@ from maslov.errors import (
     ValidationError,
 )
 from maslov.fields import FieldCtx
-from maslov.forms import FormMatrix, is_isometric
+from maslov.forms import FormMatrix, congruence, is_isometric, radical_split
 from maslov.lagrange import (
     HyperbolicSpace,
     Lagrangian,
+    PairFrame,
     UnitaryElement,
     common_opposite,
     ell_a,
@@ -255,19 +256,27 @@ def test_standardize_pair_properties(ctx):
     Q, F5, F9, QI, FieldCtx("Fp", p=5, epsilon=-1),
     FieldCtx("QSqrt", d=2, epsilon=-1)], ids=repr)
 def test_trusted_results_pass_the_checked_constructors(ctx):
-    # products, inverses, the standard elements, the frame's unitary and
-    # the samplers' Lagrangians are built unchecked; the checked
-    # constructors accept each one and build an equal object
+    # products, inverses, the standard elements, the frame's unitary, the
+    # samplers' Lagrangians and the forms of closed operations are built
+    # unchecked; the checked constructors accept each one and build an
+    # equal object
     for n in (1, 2, 3):
         sp = HyperbolicSpace(ctx, n)
         rng = rng_for(97, n)
         pair = sp.standard_pair()
         lags = list(pair)
         units = [w_element(sp), ell_a(sp, random_invertible(ctx, n, rng))]
+        sym = random_hermitian(ctx, n, rng, eps=1)
+        forms = [sym, sym.neg(), radical_split(sym)[0],
+                 congruence(sym, random_invertible(ctx, n, rng))]
         try:
-            units.append(u_t(sp, random_hermitian(ctx, n, rng)))
+            t = random_hermitian(ctx, n, rng)
+            forms += [t, t.neg(), congruence(t, random_invertible(
+                ctx, n, rng))]
+            units.append(u_t(sp, t))
             units.append(random_unitary(sp, rng))
             pair = random_opposite_quadruple(sp, rng)
+            forms += [PairFrame(*pair[:2]).kappa(z) for z in pair[2:]]
             lags += pair
             lags += random_opposite_triple(sp, rng)
             bt = random_based_triple(sp, rng)
@@ -285,6 +294,8 @@ def test_trusted_results_pass_the_checked_constructors(ctx):
         for x in lags:
             assert x.canonical == x.basis.column_space_canonical()
             assert Lagrangian(sp, x.basis) == x
+        for f in forms:
+            assert FormMatrix(ctx, f.mat, f.eps) == f
     if ctx.is_finite:
         for x in enumerate_lagrangians(HyperbolicSpace(ctx, 1)):
             assert x.canonical == x.basis
