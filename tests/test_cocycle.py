@@ -561,28 +561,53 @@ def test_census_agrees_with_the_full_triple_oracle(ctx, n):
     assert got.fibers_are_orbits is want.fibers_are_orbits is True
 
 
-@pytest.mark.parametrize("fault", ["key", "levi", "translations"])
+class _UnnormalizedFrame(PairFrame):
+    """A frame that skips the normalization h(c, b) = 1 of Y's basis: right
+    on the standard pair, wrong on the pairs the generators move it to."""
+
+    __slots__ = ()
+
+    def __init__(self, x, y):
+        super().__init__(x, y)
+        self.top = x.space.covector(y.basis)
+
+
+@pytest.mark.parametrize("fault", ["key", "frame", "levi", "translations",
+                                   "reflection"])
 def test_planted_census_faults_fail_the_orbit_check(fault, monkeypatch,
                                                     capsys):
+    eps = 1
     if fault == "key":
         # a key that also reads the first entry of t is not invariant
         true_key = cocycle.isometry_key
         monkeypatch.setattr(cocycle, "isometry_key", lambda t: (
             true_key(t), t.mat.rows[0][0]))
+    elif fault == "frame":
+        # the keys at the standard pair and their Levi orbits are right;
+        # only the spot-check of the other generators' frames sees it
+        monkeypatch.setattr(cocycle, "PairFrame", _UnnormalizedFrame)
     elif fault == "levi":
         # Levi elements from the diagonal of a only: no shears, so the
         # Levi orbits of t split
         true_ell = cocycle.ell_a
         monkeypatch.setattr(cocycle, "ell_a", lambda sp, a: true_ell(
             sp, Matrix.diagonal(sp.ctx, [a.rows[i][i] for i in range(a.n)])))
-    else:
+    elif fault == "translations":
         # one additive generator of the translations fewer
         true_basis = cocycle._hermitian_additive_basis
         monkeypatch.setattr(cocycle, "_hermitian_additive_basis",
                             lambda ctx, n: true_basis(ctx, n)[1:])
-    res = orbit_census(HyperbolicSpace(F3, 2))
+    else:
+        # without the reflection the orthogonal generators have two
+        # orbits on the Lagrangians of rank 2; only the transitivity
+        # check sees it
+        eps = -1
+        monkeypatch.setattr(cocycle, "UnitaryElement",
+                            lambda sp, mat: w_element(sp))
+    res = orbit_census(HyperbolicSpace(FieldCtx("Fp", p=3, epsilon=eps), 2))
     assert res.fibers_are_orbits is False
-    assert cli.run(["census", "--field", '{"kind":"Fp","p":3}',
+    field = {"kind": "Fp", "p": 3, "epsilon": eps}
+    assert cli.run(["census", "--field", json.dumps(field),
                     "--input", '{"n":2}']) == 1
     check, = json.loads(capsys.readouterr().out)["checks"]
     assert (check["name"], check["pass"]) == ("fibers-are-orbits", False)
