@@ -399,6 +399,23 @@ def test_golden_census_reports(job, capsys):
     assert capsys.readouterr().out == expected
 
 
+GOLDEN_LAGRANGIANS = json.loads(
+    (Path(__file__).parent / "data" / "golden_lagrangian_reports.json")
+    .read_text())
+
+
+@pytest.mark.parametrize("job", GOLDEN_LAGRANGIANS, ids=lambda job: " ".join(
+    job["argv"][2:5:2]))
+def test_golden_lagrangian_reports(job, capsys):
+    # ranks 1 and 2 over F_3, F_5, F_7, F_9 and F_25 and rank 3 over F_3
+    # and F_5 (refused), eps = +-1: the count, the listed canonical bases,
+    # their order and the refusal must not change with the way the
+    # Lagrangians are enumerated
+    assert cli.run(job["argv"]) == job["status"]
+    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+
+
 def file_error(capsys, *argv):
     code = cli.run(["witt", *argv])
     report = json.loads(capsys.readouterr().out)    # one report, no more
