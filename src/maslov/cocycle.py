@@ -16,7 +16,6 @@ from .errors import (
     ConstraintViolated,
     NonGeneric,
     NotPairwiseOpposite,
-    TooLarge,
     ValidationError,
     WrongContext,
 )
@@ -26,6 +25,7 @@ from .lagrange import (
     Lagrangian,
     PairFrame,
     UnitaryElement,
+    _hermitian_additive_basis,
     ell_a,
     enumerate_lagrangians,
     is_opposite,
@@ -232,18 +232,14 @@ def reduced_maslov(bt: BasedTriple) -> WittClass:
 # Orbit census over finite fields
 
 
-def _hermitian_additive_basis(ctx, n):
-    """Matrices additively generating the eps-hermitian n x n block: the
-    nonzero e + eps e^J, e = v E_ij, i <= j, v = 1 or a unit with v^J = -v."""
-    values = [ctx.one()]
-    if not ctx.has_trivial_involution:
-        values.append(ctx.generator())
-    units = [Matrix(ctx, [[v if (r, c) == (i, j) else ctx.zero()
-                           for c in range(n)] for r in range(n)])
-             for i in range(n) for j in range(i, n) for v in values]
-    eps = ctx.from_int(ctx.epsilon)
-    return [m for m in (e + e.jt().scale(eps) for e in units)
-            if not m.is_zero()]
+def _unit_generator(ctx):
+    """A unit of a finite field whose powers reach all q - 1 units."""
+    for v in ctx.nonzero_elements():
+        x, k = v, 1
+        while x != 1:
+            x, k = x * v, k + 1
+        if k == ctx.order - 1:
+            return v
 
 
 class CensusResult(NamedTuple):
@@ -279,28 +275,20 @@ def orbit_census(space: HyperbolicSpace) -> CensusResult:
     are one Levi orbit.
     """
     ctx, n = space.ctx, space.n
-    if n > 2:
-        raise TooLarge("census is implemented for rank <= 2")
     lags = enumerate_lagrangians(space)
     index = {lag.canonical: i for i, lag in enumerate(lags)}
 
-    # the generators as permutations of the list, translations first
+    # the generators as permutations of the list, translations first;
+    # diag(zeta, 1, ..., 1) and the 1 + E_ij generate GL_n, and with the
+    # Levi subgroup the Weyl element of one coordinate reaches the rest
     gens = [u_t(space, t) for t in _hermitian_additive_basis(ctx, n)]
     translations = len(gens)
-    one, zero = ctx.one(), ctx.zero()
-    for v in ctx.nonzero_elements():
-        # the units, or the diagonal units and shears that generate GL_2
-        gens += [ell_a(space, Matrix(ctx, a)) for a in (
-            [[[v]]] if n == 1 else [[[v, zero], [zero, one]],
-                                    [[one, v], [zero, one]],
-                                    [[one, zero], [v, one]]])]
-    gens.append(w_element(space))
-    if ctx.has_trivial_involution and ctx.epsilon == -1:
-        # orthogonal case: the generators above have determinant 1; the
-        # reflection swapping e_1 and f_1 reaches the rest
-        rows = [list(r) for r in Matrix.identity(ctx, 2 * n).rows]
-        rows[0], rows[n] = rows[n], rows[0]
-        gens.append(UnitaryElement(space, Matrix(ctx, rows)))
+    gens.append(ell_a(space, Matrix.diagonal(
+        ctx, [_unit_generator(ctx)] + [1] * (n - 1))))
+    gens += [ell_a(space, Matrix(ctx, [
+        [int(r == c or (r, c) == (i, j)) for c in range(n)]
+        for r in range(n)])) for i in range(n) for j in range(n) if i != j]
+    gens.append(w_element(space, [0]))
     # the list is complete, so it holds each image g(lag)
     perms = [[index.get(g(lag).canonical) for lag in lags] for g in gens]
     if any(None in perm for perm in perms):

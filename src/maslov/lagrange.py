@@ -204,12 +204,16 @@ def ell_a(space: HyperbolicSpace, a) -> UnitaryElement:
     return UnitaryElement._of(space, Matrix.block2(a_inv_j, zero, zero, am))
 
 
-def w_element(space: HyperbolicSpace) -> UnitaryElement:
-    """The Weyl element [[0, 1], [-eps, 0]] = -eps G; swaps the standard
-    pair."""
-    ctx = space.ctx
+def w_element(space: HyperbolicSpace, coords=None) -> UnitaryElement:
+    """The Weyl element on the coordinates coords, all by default: e_i ->
+    -eps f_i and f_i -> e_i for i in coords.  On all of them it is
+    [[0, 1], [-eps, 0]] = -eps G and swaps the standard pair."""
+    ctx, n = space.ctx, space.n
+    on = range(n) if coords is None else coords
+    s = Matrix.diagonal(ctx, [int(i in on) for i in range(n)])
+    rest = Matrix.identity(ctx, n) - s
     return UnitaryElement._of(space,
-                              space.gram.scale(ctx.from_int(-ctx.epsilon)))
+                              Matrix.block2(rest, s, s * -ctx.epsilon, rest))
 
 
 # ---------------------------------------------------------------------------
@@ -231,29 +235,6 @@ def is_opposite(x: Lagrangian, y: Lagrangian) -> bool:
     return space.pairing(y.basis, x.basis).is_invertible()
 
 
-def subspaces(ctx: FieldCtx, ambient: int, k: int):
-    """All k-dimensional subspaces of ctx^ambient over a finite field,
-    yielded as ambient x k basis matrices in reduced echelon position."""
-    if not ctx.is_finite:
-        raise TooLarge("cannot enumerate subspaces of an infinite field")
-    elements = ctx.elements()
-    zero, one = ctx.zero(), ctx.one()
-    for pivots in itertools.combinations(range(ambient), k):
-        free_pos = [
-            (r, c)
-            for r in range(k)
-            for c in range(ambient)
-            if c > pivots[r] and c not in pivots
-        ]
-        for fill in itertools.product(elements, repeat=len(free_pos)):
-            rows = [[zero] * ambient for _ in range(k)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = one
-            for (r, c), v in zip(free_pos, fill):
-                rows[r][c] = v
-            yield Matrix(ctx, rows).transpose()
-
-
 def gaussian_binomial(m: int, k: int, q: int) -> int:
     num = den = 1
     for i in range(k):
@@ -262,8 +243,27 @@ def gaussian_binomial(m: int, k: int, q: int) -> int:
     return num // den
 
 
+def _hermitian_additive_basis(ctx, n):
+    """The nonzero e + eps e^J, e = v E_ij, i <= j, v = 1 or a unit with
+    v^J = -v: over the prime field, a basis of the eps-hermitian n x n
+    block."""
+    values = [ctx.one()]
+    if not ctx.has_trivial_involution:
+        values.append(ctx.generator())
+    units = [Matrix(ctx, [[v if (r, c) == (i, j) else ctx.zero()
+                           for c in range(n)] for r in range(n)])
+             for i in range(n) for j in range(i, n) for v in values]
+    eps = ctx.from_int(ctx.epsilon)
+    return [m for m in (e + e.jt().scale(eps) for e in units)
+            if not m.is_zero()]
+
+
 def enumerate_lagrangians(space: HyperbolicSpace, limit: int = 500000):
-    """Complete duplicate-free list of the Lagrangians of a finite module."""
+    """Complete duplicate-free list of the Lagrangians of a finite module,
+    sorted by pivot rows and then entries of their canonical bases.
+
+    Each is opposite a coordinate Lagrangian w_S X (Arnold's lemma), so it
+    is w_S [t; 1] for a set S of coordinates and an eps-hermitian t."""
     ctx, n = space.ctx, space.n
     if not ctx.is_finite:
         raise TooLarge("Lagrangian enumeration needs a finite field")
@@ -274,11 +274,17 @@ def enumerate_lagrangians(space: HyperbolicSpace, limit: int = 500000):
     total = gaussian_binomial(space.dim, n, ctx.order)
     if total > limit:
         raise TooLarge(f"{total} subspaces exceed the limit {limit}")
-    out = []
-    for basis in subspaces(ctx, space.dim, n):
-        if space.pairing(basis, basis).is_zero():
-            out.append(Lagrangian._of(space, basis))
-    return out
+    basis = _hermitian_additive_basis(ctx, n)
+    graphs = [sum(map(Matrix.scale, basis, coefs), Matrix.zeros(ctx, n, n))
+              .vstack(Matrix.identity(ctx, n))
+              for coefs in itertools.product(range(ctx.p),
+                                             repeat=len(basis))]
+    weyl = [w_element(space, coords).mat for k in range(n + 1)
+            for coords in itertools.combinations(range(n), k)]
+    found = {(w * g).column_space_canonical() for w in weyl for g in graphs}
+    return [Lagrangian._of(space, c) for c in sorted(found, key=lambda c: (
+        [col.index(ctx.kernel.one) for col in zip(*c.raw)],
+        c.transpose().raw))]
 
 
 def common_opposite(lags, rng=None, max_tries: int = 4000) -> Lagrangian:

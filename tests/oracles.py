@@ -9,6 +9,7 @@
 * The matrix product on raw values, one oracle operation per term.
 * Form constructors: diagonal forms from rationals and direct sums.
 * Congruence diagonalization on scalars.
+* The Lagrangians of a finite module, found among all its subspaces.
 * The orbit census over every ordered pairwise opposite triple.
 """
 
@@ -16,7 +17,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from maslov.cocycle import CensusResult, _hermitian_additive_basis
+from maslov.cocycle import CensusResult
 from maslov.errors import (
     TooLarge,
     ValidationError,
@@ -32,10 +33,11 @@ from maslov.forms import (
 )
 from maslov.lagrange import (
     HyperbolicSpace,
+    Lagrangian,
     PairFrame,
     UnitaryElement,
+    _hermitian_additive_basis,
     ell_a,
-    enumerate_lagrangians,
     is_opposite,
     u_t,
     w_element,
@@ -279,6 +281,39 @@ def scalar_diagonalize(t: FormMatrix) -> Diagonalization:
 
 
 # ---------------------------------------------------------------------------
+# Lagrangians among all subspaces
+
+
+def subspace_lagrangians(space: HyperbolicSpace):
+    """The Lagrangians of a finite module: every n-dimensional subspace of
+    ctx^2n, walked by its pivot rows and then its entries in reduced
+    echelon position, is kept when it is totally isotropic.  The walk
+    sorts them and holds them on their canonical bases; it is the
+    reference ``enumerate_lagrangians`` is tested against."""
+    ctx, ambient, k = space.ctx, space.dim, space.n
+    elements = ctx.elements()
+    zero, one = ctx.zero(), ctx.one()
+    out = []
+    for pivots in itertools.combinations(range(ambient), k):
+        free_pos = [
+            (r, c)
+            for r in range(k)
+            for c in range(ambient)
+            if c > pivots[r] and c not in pivots
+        ]
+        for fill in itertools.product(elements, repeat=len(free_pos)):
+            rows = [[zero] * ambient for _ in range(k)]
+            for r, p in enumerate(pivots):
+                rows[r][p] = one
+            for (r, c), v in zip(free_pos, fill):
+                rows[r][c] = v
+            basis = Matrix(ctx, rows).transpose()
+            if space.pairing(basis, basis).is_zero():
+                out.append(Lagrangian._of(space, basis))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # The full-triple orbit census
 
 
@@ -288,11 +323,13 @@ def triple_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
     every class fiber is one orbit of the generated unitary group.
 
     It lists every triple and searches the orbits of triples, with no
-    use of the stabilizer of a pair, so it checks ``orbit_census``."""
+    use of the stabilizer of a pair, on Lagrangians found among all
+    subspaces and with its own generators, so it checks
+    ``orbit_census``."""
     ctx = space.ctx
     if space.n > 2:
         raise TooLarge("census is implemented for rank <= 2")
-    lags = enumerate_lagrangians(space)
+    lags = subspace_lagrangians(space)
     count = len(lags)
     index = {lag.canonical: i for i, lag in enumerate(lags)}
 

@@ -33,13 +33,15 @@ def test_census_command():
     assert rep["outputs"]["classes"] == 2
     assert rep["outputs"]["orbit_sizes"] == [12, 12]
     assert rep["pass"] is True
-    # rank 3 is refused before any Lagrangian is enumerated
+    # rank 3 over F_5 is refused before any Lagrangian is enumerated
     started = time.monotonic()
-    proc = invoke("census", "--field", '{"kind":"Fp","p":3}',
+    proc = invoke("census", "--field", '{"kind":"Fp","p":5}',
                   "--input", '{"n":3}')
     assert time.monotonic() - started < 5
     assert proc.returncode == 2
     assert report_of(proc)["error"] == "TooLarge"
+    assert report_of(proc)["message"] == (
+        "2558556 subspaces exceed the limit 500000")
 
 
 def test_kappa_command():

@@ -74,8 +74,9 @@ def _well_shaped(rng):
     ctx = FieldCtx(spec["kind"], p=spec.get("p"), d=spec.get("d"),
                    epsilon=spec["epsilon"])
     command = rng.choice(COMMANDS)
-    # a rank-2 census over F_3, F_5 or F_9 takes at most 0.35 s
-    n = 1 if command == "lagrangians" else rng.choice((1, 2))
+    # a rank-2 census or enumeration over F_3, F_5 or F_9 takes at most
+    # 0.1 s
+    n = rng.choice((1, 2))
     if command in ("kappa", "maslov", "kashiwara", "tau") and (
             ctx.has_trivial_involution and ctx.epsilon == -1):
         n = 2       # alternating forms of odd size are singular

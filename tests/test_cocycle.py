@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -461,8 +463,12 @@ def test_census_f3():
     assert res.sizes() == [12, 12]
     assert res.total == 24
     assert res.fibers_are_orbits
-    with pytest.raises(TooLarge, match="rank <= 2"):
-        orbit_census(HyperbolicSpace(F3, 3))
+    # rank 3 over F_5 is refused before any Lagrangian is enumerated
+    started = time.monotonic()
+    with pytest.raises(TooLarge, match="^2558556 subspaces exceed the "
+                                       "limit 500000$"):
+        orbit_census(HyperbolicSpace(F5, 3))
+    assert time.monotonic() - started < 5
 
 
 def test_census_f5():
@@ -495,12 +501,21 @@ def test_census_f3_rank2():
     assert res.fibers_are_orbits
 
 
-def _symmetric_rank2_classes(p):
-    """Invertible symmetric 2 x 2 matrices mod p by the square class of
-    the determinant (Euler's criterion)."""
+def _symmetric_classes(p, n):
+    """Invertible symmetric n x n matrices mod p by the square class of
+    the determinant (Euler's criterion), the determinant by Leibniz's
+    formula."""
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    signed = [(perm, (-1) ** sum(a > b for a, b in
+                                 itertools.combinations(perm, 2)))
+              for perm in itertools.permutations(range(n))]
     counts = {}
-    for a, b, d in itertools.product(range(p), repeat=3):
-        det = (a * d - b * b) % p
+    for values in itertools.product(range(p), repeat=len(cells)):
+        m = {}
+        for (i, j), v in zip(cells, values):
+            m[i, j] = m[j, i] = v
+        det = sum(sign * math.prod(m[i, perm[i]] for i in range(n))
+                  for perm, sign in signed) % p
         if det:
             cls = pow(det, (p - 1) // 2, p)
             counts[cls] = counts.get(cls, 0) + 1
@@ -516,23 +531,28 @@ def _hermitian_rank2_invertible(p):
                if (a * d - x * x + nu * y * y) % p)
 
 
-@pytest.mark.parametrize("ctx, lags, opposite, per_class, total", [
+@pytest.mark.parametrize("ctx, n, lags, opposite, per_class, total", [
     # L = (q + 1)(q^2 + 1) Lagrangians, q^3 symmetric t opposite X
-    (FieldCtx("Fp", p=5), 6 * 26, 5 ** 3, _symmetric_rank2_classes(5),
+    (FieldCtx("Fp", p=5), 2, 6 * 26, 5 ** 3, _symmetric_classes(5, 2),
      1950000),
     # far more triples than the full-triple census can list
-    (FieldCtx("Fp", p=7), 8 * 50, 7 ** 3, _symmetric_rank2_classes(7),
+    (FieldCtx("Fp", p=7), 2, 8 * 50, 7 ** 3, _symmetric_classes(7, 2),
      40336800),
     # L = (q + 1)(q^3 + 1), q^4 hermitian t; eps = -1 scales t by a
     # trace-zero unit, which keeps the count
-    (F9, 4 * 28, 3 ** 4, [_hermitian_rank2_invertible(3)], 544320),
-    (SKEW_F9, 4 * 28, 3 ** 4, [_hermitian_rank2_invertible(3)], 544320),
-], ids=["F5", "F7", "F9", "skew F9"])
-def test_rank2_census_matches_an_independent_count(ctx, lags, opposite,
+    (F9, 2, 4 * 28, 3 ** 4, [_hermitian_rank2_invertible(3)], 544320),
+    (SKEW_F9, 2, 4 * 28, 3 ** 4, [_hermitian_rank2_invertible(3)], 544320),
+    # L = (q + 1)(q^2 + 1)(q^3 + 1), q^6 symmetric t
+    (F3, 3, 4 * 10 * 28, 3 ** 6, _symmetric_classes(3, 3), 382112640),
+    # L = 2 (q + 1)(q^2 + 1) over the split orthogonal module; alternating
+    # matrices of odd size are singular, so no triple is opposite
+    (FieldCtx("Fp", p=3, epsilon=-1), 3, 2 * 4 * 10, 3 ** 3, [], 0),
+], ids=["F5", "F7", "F9", "skew F9", "F3 rank 3", "skew F3 rank 3"])
+def test_rank2_census_matches_an_independent_count(ctx, n, lags, opposite,
                                                    per_class, total):
     # each class holds L * H * |{invertible t in its determinant class}|
     # triples; the counts are made here, not read from the census
-    res = orbit_census(HyperbolicSpace(ctx, 2))
+    res = orbit_census(HyperbolicSpace(ctx, n))
     sizes = [lags * opposite * c for c in per_class]
     assert res.sizes() == sorted(sizes)
     assert res.total == sum(sizes) == total
@@ -572,11 +592,19 @@ class _UnnormalizedFrame(PairFrame):
         self.top = x.space.covector(y.basis)
 
 
-@pytest.mark.parametrize("fault", ["key", "frame", "levi", "translations",
-                                   "reflection"])
-def test_planted_census_faults_fail_the_orbit_check(fault, monkeypatch,
-                                                    capsys):
-    eps = 1
+@pytest.mark.parametrize("fault, field, n", [
+    ("key", {"kind": "Fp", "p": 3, "epsilon": 1}, 2),
+    ("frame", {"kind": "Fp", "p": 3, "epsilon": 1}, 2),
+    ("levi", {"kind": "Fp", "p": 3, "epsilon": 1}, 2),
+    ("translations", {"kind": "Fp", "p": 3, "epsilon": 1}, 2),
+    ("reflection", {"kind": "Fp", "p": 3, "epsilon": -1}, 2),
+    ("zeta", {"kind": "Fp", "p": 5, "epsilon": 1}, 1),
+    ("zeta", {"kind": "Fp2", "p": 3, "epsilon": 1}, 1),
+    ("zeta", {"kind": "Fp", "p": 5, "epsilon": 1}, 2),
+], ids=["key", "frame", "levi", "translations", "reflection", "zeta F5",
+        "zeta F9", "zeta F5 rank 2"])
+def test_planted_census_faults_fail_the_orbit_check(fault, field, n,
+                                                    monkeypatch, capsys):
     if fault == "key":
         # a key that also reads the first entry of t is not invariant
         true_key = cocycle.isometry_key
@@ -597,17 +625,23 @@ def test_planted_census_faults_fail_the_orbit_check(fault, monkeypatch,
         true_basis = cocycle._hermitian_additive_basis
         monkeypatch.setattr(cocycle, "_hermitian_additive_basis",
                             lambda ctx, n: true_basis(ctx, n)[1:])
+    elif fault == "reflection":
+        # the full Weyl element for the one of the first coordinate: then
+        # the orthogonal generators have determinant 1 and two orbits on
+        # the Lagrangians of rank 2; only the transitivity check sees it
+        monkeypatch.setattr(cocycle, "w_element",
+                            lambda sp, coords: w_element(sp))
     else:
-        # without the reflection the orthogonal generators have two
-        # orbits on the Lagrangians of rank 2; only the transitivity
-        # check sees it
-        eps = -1
-        monkeypatch.setattr(cocycle, "UnitaryElement",
-                            lambda sp, mat: w_element(sp))
-    res = orbit_census(HyperbolicSpace(FieldCtx("Fp", p=3, epsilon=eps), 2))
+        # zeta^2 generates only the squares, so the Levi orbits of t split;
+        # over F_3 the isometries of t have determinant -1 = zeta, which
+        # makes up for zeta^2 = 1, so F_3 does not show it
+        true_gen = cocycle._unit_generator
+        monkeypatch.setattr(cocycle, "_unit_generator",
+                            lambda ctx: true_gen(ctx) * true_gen(ctx))
+    ctx = FieldCtx(field["kind"], p=field["p"], epsilon=field["epsilon"])
+    res = orbit_census(HyperbolicSpace(ctx, n))
     assert res.fibers_are_orbits is False
-    field = {"kind": "Fp", "p": 3, "epsilon": eps}
     assert cli.run(["census", "--field", json.dumps(field),
-                    "--input", '{"n":2}']) == 1
+                    "--input", json.dumps({"n": n})]) == 1
     check, = json.loads(capsys.readouterr().out)["checks"]
     assert (check["name"], check["pass"]) == ("fibers-are-orbits", False)

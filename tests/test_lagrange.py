@@ -41,7 +41,7 @@ from maslov.sampling import (
     random_unitary,
     rng_for,
 )
-from oracles import diagonal_rational
+from oracles import diagonal_rational, subspace_lagrangians
 
 Q = FieldCtx("Q")
 F3 = FieldCtx("Fp", p=3)
@@ -168,6 +168,20 @@ def test_rank2_f3_count():
     lags = enumerate_lagrangians(sp)
     assert len(lags) == 40  # (3 + 1)(3^2 + 1)
     assert len(set(lags)) == 40
+
+
+@pytest.mark.parametrize("ctx, n", [
+    (FieldCtx(kind, p=p, epsilon=eps), n)
+    for kind, p, n in [("Fp", p, n) for n in (1, 2) for p in (3, 5, 7, 11, 13)]
+    + [("Fp2", 3, 1), ("Fp2", 3, 2), ("Fp", 3, 3)]
+    for eps in (1, -1)],
+    ids=lambda v: repr(v) if isinstance(v, FieldCtx) else f"n={v}")
+def test_enumeration_matches_the_subspace_walk(ctx, n):
+    # the graphs over the coordinate Lagrangians give the Lagrangians the
+    # walk over all subspaces finds, in its order and on its bases
+    space = HyperbolicSpace(ctx, n)
+    got = [lag.basis for lag in enumerate_lagrangians(space)]
+    assert got == [lag.basis for lag in subspace_lagrangians(space)]
 
 
 def test_enumeration_infinite_field_rejected():
