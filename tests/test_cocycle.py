@@ -11,11 +11,14 @@ import pytest
 from maslov import cli, cocycle
 from maslov.errors import (
     ConstraintViolated,
+    DimensionMismatch,
     NonGeneric,
     NotFound,
     NotHermitian,
     NotPairwiseOpposite,
+    SpaceMismatch,
     TooLarge,
+    ValidationError,
     WrongContext,
 )
 from maslov.fields import FieldCtx
@@ -164,6 +167,10 @@ def test_the_pair_frame_alone_decides_opposition(ctx):
         lags[j] = Lagrangian(sp, lags[i].basis.scale(two))
         with pytest.raises(NotPairwiseOpposite):
             boundary_defect(*lags)
+        for v, w in ((lags[i], lags[j]), (lags[j], lags[i])):
+            with pytest.raises(NotPairwiseOpposite,
+                               match="^the Lagrangians are not opposite$"):
+                based_cochain_f(v, w)
         if j == 3:
             continue
         a, b, triple = lags[i], lags[j], lags[:3]
@@ -343,6 +350,36 @@ def test_from_witnesses_rejects_a_non_hermitian_block():
     with pytest.raises(NotHermitian, match="^matrix is not -1-hermitian$"):
         BasedTriple.from_witnesses(HyperbolicSpace(skew, 1), [[1]], [[1]],
                                    [[1]], [[1]])
+
+
+def test_based_cochain_refuses_an_edge_across_spaces():
+    v = HyperbolicSpace(Q, 1).standard_pair()[0]
+    for other in (HyperbolicSpace(F5, 1), HyperbolicSpace(Q, 2)):
+        w = other.standard_pair()[1]
+        for edge in ((v, w), (w, v)):
+            with pytest.raises(SpaceMismatch,
+                               match="^Lagrangians from different spaces$"):
+                based_cochain_f(*edge)
+
+
+def test_from_witnesses_refusals():
+    sp = HyperbolicSpace(Q, 2)
+    eye = Matrix.identity(Q, 2)
+    singular = Matrix(Q, [[1, 2], [2, 4]])
+    for k in range(3):
+        witnesses = [eye, eye, eye, eye]
+        witnesses[k] = singular
+        with pytest.raises(ValidationError,
+                           match="^basis does not have full column rank$"):
+            BasedTriple.from_witnesses(sp, *witnesses)
+    with pytest.raises(NotPairwiseOpposite,
+                       match="^third Lagrangian is not opposite the second$"):
+        BasedTriple.from_witnesses(sp, eye, eye, eye, [[1, 1], [1, 1]])
+    for k in range(4):
+        witnesses = [eye, eye, eye, eye]
+        witnesses[k] = [[1]]
+        with pytest.raises(DimensionMismatch):
+            BasedTriple.from_witnesses(sp, *witnesses)
 
 
 @pytest.mark.parametrize("ctx,n", [
