@@ -149,9 +149,9 @@ def cmd_disc(ctx, inputs, args):
 
 def cmd_hilbert(ctx, inputs, args):
     try:
-        a, b = Fraction(inputs["a"]), Fraction(inputs["b"])
+        a, b = Fraction(str(inputs["a"])), Fraction(str(inputs["b"]))
         place = inputs["place"]
-        place = INF if place in (INF, "oo") else int(place)
+        place = INF if place in (INF, "oo") else int(str(place))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad Hilbert-symbol input: {exc}") from exc
     val = hilbert_symbol(a, b, place)

@@ -3,9 +3,9 @@
 The cocycle sends a pairwise opposite triple to the Witt class of its
 classifying invariant.  Its boundary on admissible quadruples vanishes;
 its signed discriminant is the cyclic edge sum of an extended square
-class cochain on based Lagrangians; subtracting the coboundary of the
-determinant lift pushes the cocycle into the subgroup of discriminant
-kernel classes.
+class cochain on based Lagrangians, read from the pairing of the bases;
+subtracting the coboundary of the determinant lift pushes the cocycle
+into the subgroup of discriminant kernel classes.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .lagrange import (
     Lagrangian,
     PairFrame,
     UnitaryElement,
+    _check_space,
     _hermitian_additive_basis,
     ell_a,
     enumerate_lagrangians,
@@ -137,16 +138,14 @@ def tau(g: UnitaryElement, h: UnitaryElement,
 
 def _edge_det(v: Lagrangian, w: Lagrangian):
     """det(-eps a b^J) for the base-change witnesses (a, b) of a directed
-    opposite edge, read from the bases of v and w in the frame of the pair.
-
-    The frame ambiguity is a Levi element, which changes (a, b) by
-    (l a, l^{-J} b) and leaves the determinant unchanged.
-    """
-    ctx = v.space.ctx
-    frame = PairFrame(v, w)
-    a = frame.top * v.basis
-    b = frame.bot * w.basis
-    return (a * b.jt()).scale(ctx.from_int(-ctx.epsilon)).det()
+    opposite edge.  In the frame of the pair, a b^J is conjugate to the
+    pairing h(w, v) of the two bases, so this is det(-eps h(w, v)), which
+    vanishes exactly when the pair is not opposite (as in is_opposite)."""
+    space = _check_space(v, w)
+    det = space.pairing(w.basis, v.basis).det()
+    if not det:
+        raise NotPairwiseOpposite("the Lagrangians are not opposite")
+    return det * (-space.ctx.epsilon) ** space.n
 
 
 def based_cochain_f(v: Lagrangian, w: Lagrangian) -> SHatElement:
@@ -164,14 +163,15 @@ def _edge_det_form(v: Lagrangian, w: Lagrangian) -> WittClass:
 
 
 class BasedTriple:
-    """Three pairwise opposite Lagrangians, each based by its own basis.
-    Triples compare by identity: the same spans with other bases make
-    another triple."""
+    """Three pairwise opposite Lagrangians, each based by its own basis,
+    with the frame of (v0, v1) and the invariant t of v2 that decide them.
+    Triples compare by identity: other bases make another triple."""
 
-    __slots__ = ("v0", "v1", "v2")
+    __slots__ = ("v0", "v1", "v2", "_frame", "_t")
 
     def __init__(self, v0: Lagrangian, v1: Lagrangian, v2: Lagrangian):
-        PairFrame(v0, v1).kappa(v2)    # decides all three oppositions
+        self._frame = PairFrame(v0, v1)
+        self._t = self._frame.kappa(v2)
         self.v0, self.v1, self.v2 = v0, v1, v2
 
     @staticmethod
@@ -191,11 +191,9 @@ class BasedTriple:
     def witnesses(self):
         """Base-change witnesses (a, b, c) and the translation block t,
         read off in the frame standardizing the first two Lagrangians."""
-        frame = PairFrame(self.v0, self.v1)
-        a = frame.top * self.v0.basis
-        b = frame.bot * self.v1.basis
-        c = frame.bot * self.v2.basis
-        return a, b, c, frame.kappa(self.v2)
+        frame = self._frame
+        return (frame.top * self.v0.basis, frame.bot * self.v1.basis,
+                frame.bot * self.v2.basis, self._t)
 
 
 def disc_defect(bt: BasedTriple) -> SHatElement:
@@ -209,8 +207,7 @@ def disc_defect(bt: BasedTriple) -> SHatElement:
     involution) or scaled by a trace-zero unit.
     """
     space = bt.v0.space
-    total = signed_discriminant(space.ctx, space.n,
-                                (kappa(bt.v0, bt.v1, bt.v2).det(),))
+    total = signed_discriminant(space.ctx, space.n, (bt._t.det(),))
     cyc = (based_cochain_f(bt.v0, bt.v1) + based_cochain_f(bt.v1, bt.v2)
            + based_cochain_f(bt.v2, bt.v0))
     return total - cyc
@@ -225,7 +222,7 @@ def reduced_maslov(bt: BasedTriple) -> WittClass:
     coboundary = (_edge_det_form(bt.v1, bt.v2)
                   - _edge_det_form(bt.v0, bt.v2)
                   + _edge_det_form(bt.v0, bt.v1))
-    return maslov(bt.v0, bt.v1, bt.v2) - coboundary
+    return witt_class(bt._t) - coboundary
 
 
 # ---------------------------------------------------------------------------

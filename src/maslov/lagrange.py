@@ -332,8 +332,8 @@ def common_opposite(lags, rng=None, max_tries: int = 4000) -> Lagrangian:
 
 
 class PairFrame:
-    """Coordinates relative to an opposite pair (x, y); building one is
-    the one place that decides whether x and y are opposite.
+    """Coordinates relative to an opposite pair (x, y); building one
+    decides whether x and y are opposite, and kappa decides the third.
 
     With b the canonical basis of x and c the basis of y h-dual to it
     (h(c, b) = 1), the frame F = [b | c] has the standard Gram matrix G.

@@ -113,24 +113,24 @@ def steinberg_relations_report(ctx: FieldCtx, triples) -> dict:
     for (s, t, r) in triples:
         if not (s and t and r):
             continue
-        lhs = _sym_class(ctx, s * t, r) + _sym_class(ctx, s, t)
-        rhs = _sym_class(ctx, s, t * r) + _sym_class(ctx, t, r)
+        st = _sym_class(ctx, s, t)
         checks["additivity"] += 1
-        if lhs != rhs:
+        if (_sym_class(ctx, s * t, r) + st
+                != _sym_class(ctx, s, t * r) + _sym_class(ctx, t, r)):
             violations.append(("additivity", s, t, r))
         checks["unit"] += 1
         if not (_sym_class(ctx, s, one).is_zero()
                 and _sym_class(ctx, one, s).is_zero()):
             violations.append(("unit", s, t, r))
         checks["inverse-swap"] += 1
-        if _sym_class(ctx, s, t) != _sym_class(ctx, one / t, s):
+        if st != _sym_class(ctx, one / t, s):
             violations.append(("inverse-swap", s, t, r))
         checks["negate-product"] += 1
-        if _sym_class(ctx, s, t) != _sym_class(ctx, s, -(s * t)):
+        if st != _sym_class(ctx, s, -(s * t)):
             violations.append(("negate-product", s, t, r))
         if s != one:
             checks["one-minus"] += 1
-            if _sym_class(ctx, s, t) != _sym_class(ctx, s, (one - s) * t):
+            if st != _sym_class(ctx, s, (one - s) * t):
                 violations.append(("one-minus", s, t, r))
     return {"checks": checks, "violations": violations,
             "ok": not violations}

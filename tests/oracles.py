@@ -11,6 +11,9 @@
 * Congruence diagonalization on scalars.
 * The Lagrangians of a finite module, found among all its subspaces.
 * The orbit census over every ordered pairwise opposite triple.
+* The based edge cochain read in the frame of the pair.
+* Block sums of Lagrangians and extension of scalars, for the stability
+  and naturality laws of the cocycle.
 """
 
 import functools
@@ -43,7 +46,7 @@ from maslov.lagrange import (
     w_element,
 )
 from maslov.linalg import Matrix
-from maslov.witt import _val_unit, hilbert_symbol
+from maslov.witt import WittClass, _val_unit, hilbert_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -406,3 +409,61 @@ def triple_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
             all_orbits = False
         classes[key] = len(fiber)
     return CensusResult(classes, total, all_orbits)
+
+
+# ---------------------------------------------------------------------------
+# The based edge cochain in the frame of the pair
+
+
+def frame_edge_det(v: Lagrangian, w: Lagrangian):
+    """det(-eps a b^J) for the base-change witnesses a = top v and
+    b = bot w of the edge (v, w), read in the frame of the pair.  A change
+    of frame is a Levi element, which moves (a, b) to (l a, l^{-J} b) and
+    keeps the determinant.  It is the reference ``cocycle._edge_det``,
+    which reads one pairing and builds no frame, is tested against."""
+    ctx = v.space.ctx
+    frame = PairFrame(v, w)
+    a = frame.top * v.basis
+    b = frame.bot * w.basis
+    return (a * b.jt()).scale(ctx.from_int(-ctx.epsilon)).det()
+
+
+# ---------------------------------------------------------------------------
+# Block sums and extension of scalars
+
+
+def block_sum(space: HyperbolicSpace, x1: Lagrangian, x2: Lagrangian):
+    """The Lagrangian of H_{n+m} that is x1 on the first n coordinates
+    and x2 on the last m.  The standard basis is e_1..e_{n+m} and then
+    f_1..f_{n+m} (G = [[0, -eps I], [I, 0]]), so each half of the sum's
+    basis stacks the matching halves of x1 and x2 block-diagonally."""
+    n1, n2 = x1.space.n, x2.space.n
+    if n1 + n2 != space.n:
+        raise ValidationError("block sum needs rank n + m")
+    b1, b2 = x1.basis.rows, x2.basis.rows
+    half = [list(r) + [0] * n2 for r in b1[:n1]] + [
+        [0] * n1 + list(r) for r in b2[:n2]]
+    other = [list(r) + [0] * n2 for r in b1[n1:]] + [
+        [0] * n1 + list(r) for r in b2[n2:]]
+    return Lagrangian(space, Matrix(space.ctx, half + other))
+
+
+def extend_scalar(base: FieldCtx, ext: FieldCtx, x):
+    """The image of a scalar of Q or F_p in Q(sqrt d) or F_{p^2}."""
+    return ext.from_rational(Fraction(base.kernel.unwrap(x)))
+
+
+def extend_lagrangian(space: HyperbolicSpace, lag: Lagrangian):
+    """lag read over the larger field of space, with the same basis."""
+    base = lag.space.ctx
+    return Lagrangian(space, Matrix(space.ctx, [
+        [extend_scalar(base, space.ctx, x) for x in row]
+        for row in lag.basis.rows]))
+
+
+def extend_witt_class(ext: FieldCtx, t: FormMatrix) -> WittClass:
+    """The image in W(ext) of the class of the symmetric form t over Q or
+    F_p: a diagonalization of t, its entries read over ext as a hermitian
+    form."""
+    return WittClass(ext, [extend_scalar(t.ctx, ext, d)
+                           for d in scalar_diagonalize(t).diag])

@@ -66,6 +66,25 @@ def test_hilbert_command():
     assert report_of(proc)["outputs"]["symbol"] == -1
 
 
+def test_hilbert_reads_its_scalars_as_every_command_does(capsys):
+    # a JSON float is read by its decimal text, as FieldCtx.parse_scalar
+    # reads it, so 0.2 is 1/5 and not its binary double
+    def symbol(job):
+        assert cli.run(["hilbert", "--input", job]) == 0
+        return json.loads(capsys.readouterr().out)["outputs"]["symbol"]
+
+    for a in ('0.2', '"0.2"', '"1/5"'):
+        assert symbol('{"a":%s,"b":2,"place":5}' % a) == -1
+    assert symbol('{"a":1.5,"b":-3,"place":3}') == symbol(
+        '{"a":"3/2","b":"-3","place":3}')
+    # an infinite float, a fractional place and booleans exit 2
+    for job in ('{"a":1e400,"b":2,"place":5}', '{"a":2,"b":-1e400,"place":5}',
+                '{"a":"2","b":3,"place":5.5}', '{"a":true,"b":3,"place":5}',
+                '{"a":2,"b":3,"place":true}'):
+        assert cli.run(["hilbert", "--input", job]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
+
+
 def test_witt_and_disc_commands():
     job = '{"matrix": [["1","0"],["0","1"]]}'
     rep = report_of(invoke("witt", "--input", job))

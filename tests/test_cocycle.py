@@ -55,8 +55,17 @@ from maslov.sampling import (
     random_unitary,
     rng_for,
 )
+from maslov.symbols import compare_stbg_maslov
 from maslov.witt import SHatElement, witt_class
-from oracles import diagonal_rational, triple_census
+from oracles import (
+    block_sum,
+    diagonal_rational,
+    direct_sum,
+    extend_lagrangian,
+    extend_witt_class,
+    frame_edge_det,
+    triple_census,
+)
 
 Q = FieldCtx("Q")
 F3 = FieldCtx("Fp", p=3)
@@ -352,6 +361,47 @@ def test_from_witnesses_rejects_a_non_hermitian_block():
                                    [[1]], [[1]])
 
 
+EDGE_CONTEXTS = [(c, n) for c in (Q, F5, F9, QI, FieldCtx("QSqrt", d=2))
+                 for n in (1, 2, 3)] + [
+    (c, n) for c in (FieldCtx("Fp2", p=5, epsilon=-1), SKEW_QI)
+    for n in (1, 2, 3)] + [(SKEW_Q, 2), (FieldCtx("Fp", p=7, epsilon=-1), 2)]
+
+
+@pytest.mark.parametrize("ctx,n", EDGE_CONTEXTS, ids=str)
+def test_edge_cochain_equals_its_frame_reading(ctx, n):
+    # one pairing h(w, v) against the base change read in the frame of
+    # the pair, on every edge of seeded based triples in both directions
+    sp = HyperbolicSpace(ctx, n)
+    for trial in range(8):
+        bt = random_based_triple(sp, rng_for(113, trial))
+        for v, w in itertools.permutations((bt.v0, bt.v1, bt.v2), 2):
+            assert cocycle._edge_det(v, w) == frame_edge_det(v, w)
+
+
+def test_based_triple_builds_its_frame_once(monkeypatch):
+    built = []
+    init = PairFrame.__init__
+
+    def counted(self, x, y):
+        built.append((x, y))
+        init(self, x, y)
+
+    monkeypatch.setattr(PairFrame, "__init__", counted)
+    for ctx, n in ((Q, 2), (F5, 1), (QI, 2), (SKEW_F9, 2)):
+        bt = random_based_triple(HyperbolicSpace(ctx, n), rng_for(127, n))
+        built.clear()
+        assert disc_defect(bt).is_identity()
+        based_cochain_f(bt.v2, bt.v0)
+        bt.witnesses()
+        if ctx.has_trivial_involution and ctx.epsilon == 1:
+            assert reduced_maslov(bt).in_II()
+        assert built == []
+    # the symbol route builds one frame, in its BasedTriple
+    assert compare_stbg_maslov(Matrix(Q, [[1, 2], [3, 7]]),
+                               Matrix(Q, [[2, 1], [5, 3]]))
+    assert len(built) == 1
+
+
 def test_based_cochain_refuses_an_edge_across_spaces():
     v = HyperbolicSpace(Q, 1).standard_pair()[0]
     for other in (HyperbolicSpace(F5, 1), HyperbolicSpace(Q, 2)):
@@ -449,6 +499,44 @@ def test_reduced_maslov_witness_change_is_coboundary():
         lhs = reduced_maslov(bt1) - reduced_maslov(bt2)
         rhs = cob(bt2) - cob(bt1)
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the paper's laws: stability under block sums, naturality under extension
+# of scalars
+
+
+@pytest.mark.parametrize("ctx,n,m", [
+    (ctx, n, m) for ctx in (Q, F5, F9, QI, SKEW_F9,
+                            FieldCtx("QSqrt", d=2, epsilon=-1))
+    for n, m in ((1, 1), (1, 2), (2, 1))] + [
+    (SKEW_Q, 2, 2), (SKEW_F5, 2, 2)], ids=str)
+def test_stability_under_block_sums(ctx, n, m):
+    # the block sum of triples in H_n and H_m has the invariant k1 + k2
+    big = HyperbolicSpace(ctx, n + m)
+    for trial in range(5):
+        t1 = random_opposite_triple(HyperbolicSpace(ctx, n),
+                                    rng_for(131, trial))
+        t2 = random_opposite_triple(HyperbolicSpace(ctx, m),
+                                    rng_for(137, trial))
+        summed = [block_sum(big, a, b) for a, b in zip(t1, t2)]
+        assert is_isometric(kappa(*summed),
+                            direct_sum(kappa(*t1), kappa(*t2)))
+        assert maslov(*summed) == maslov(*t1) + maslov(*t2)
+
+
+@pytest.mark.parametrize("base,ext", [
+    (Q, QI), (Q, FieldCtx("QSqrt", d=2)), (Q, FieldCtx("QSqrt", d=-5)),
+    (F3, F9), (F5, FieldCtx("Fp2", p=5))], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_naturality_under_extension_of_scalars(base, ext, n):
+    # a triple over Q or F_p read over Q(sqrt d) or F_{p^2} has the image
+    # of its Witt class
+    small, big = HyperbolicSpace(base, n), HyperbolicSpace(ext, n)
+    for trial in range(5):
+        triple = random_opposite_triple(small, rng_for(139, trial))
+        lifted = [extend_lagrangian(big, lag) for lag in triple]
+        assert maslov(*lifted) == extend_witt_class(ext, kappa(*triple))
 
 
 # ---------------------------------------------------------------------------
