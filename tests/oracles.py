@@ -8,7 +8,8 @@
   the field kernels they check.
 * The matrix product on raw values, one oracle operation per term.
 * Form constructors: diagonal forms from rationals and direct sums.
-* Congruence diagonalization on scalars.
+* Congruence diagonalization on scalars, and the signature counted from
+  it.
 * The Lagrangians of a finite module, found among all its subspaces.
 * The orbit census over every ordered pairwise opposite triple.
 * The based edge cochain read in the frame of the pair.
@@ -281,6 +282,30 @@ def scalar_diagonalize(t: FormMatrix) -> Diagonalization:
     if gm.jt() * t.mat * gm != expected:
         raise ValidationError("diagonalization witness failed")  # safety net
     return Diagonalization(diag, n - rank, gm)
+
+
+def signature_count(t: FormMatrix) -> int:
+    """Signature of a nondegenerate form over Q, or of its trace form over
+    Q(sqrt d), counted from the signs of a scalar diagonalization: over
+    Q(sqrt d) each entry a counts as the pair <a, -d a>.  A skew-hermitian
+    form over Q(sqrt d) is first multiplied by sqrt d; a skew form over Q
+    has signature 0."""
+    ctx = t.ctx
+    if ctx.kind not in ("Q", "QSqrt"):
+        raise ValidationError("signature needs a characteristic-0 field")
+    if t.eps == -1:
+        if ctx.kind == "Q":
+            return 0
+        root = ctx.kernel.wrap((Fraction(0), Fraction(1)))
+        t = FormMatrix(ctx, Matrix(ctx, [[root * v for v in row]
+                                         for row in t.mat.rows]), 1)
+    signs = []
+    for e in scalar_diagonalize(t).diag:
+        a = e if ctx.kind == "Q" else ctx.kernel.unwrap(e)[0]
+        signs.append(1 if a > 0 else -1)
+        if ctx.kind == "QSqrt":
+            signs.append(signs[-1] * (1 if -ctx.d > 0 else -1))
+    return sum(signs)
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,25 @@ def test_golden_product_reports(job, capsys):
     assert capsys.readouterr().out == expected
 
 
+GOLDEN_WITT = json.loads(
+    (Path(__file__).parent / "data" / "golden_witt_reports.json")
+    .read_text())
+
+
+@pytest.mark.parametrize("job", GOLDEN_WITT, ids=lambda job: " ".join(
+    job["argv"][:3]))
+def test_golden_witt_layer_reports(job, capsys):
+    # witt and disc at ranks 1 to 3 over Q, Q(sqrt(2)), Q(sqrt(-1)) and
+    # Q(sqrt(-5)), eps = +-1, with degenerate matrices; kashiwara over Q
+    # at ranks 1 to 3 with the triples (X, Y, Z), (X, X, X) and (X, Y, X),
+    # refused elsewhere; tau with g and h random, g = 1 and g = h = 1:
+    # the signature, hasse, representative and every refusal must not
+    # change with the way the Witt layer reduces a form
+    assert cli.run(job["argv"]) == job["status"]
+    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+
+
 GOLDEN_CENSUS = json.loads(
     (Path(__file__).parent / "data" / "golden_census_reports.json")
     .read_text())

@@ -7,7 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from maslov.errors import ContextMismatch, DegenerateInput, ZeroInput
+from maslov.errors import (
+    ContextMismatch,
+    DegenerateInput,
+    ValidationError,
+    ZeroInput,
+)
 from maslov.fields import (
     INF,
     FieldCtx,
@@ -31,6 +36,7 @@ from oracles import (
     direct_sum,
     local_invariant_tuples,
     local_witt_is_zero,
+    signature_count,
 )
 
 Q = FieldCtx("Q")
@@ -324,6 +330,37 @@ def test_trace_transfer_detects_nonzero():
     # i-multiples: <1> vs <3> over Q(i); 3 is not a norm, so they differ
     assert wc(QI, [1]) != wc(QI, [3])
     assert wc(QI, [1]) == wc(QI, [5])  # 5 = 1 + 4 is a norm
+
+
+SIGNATURE_CTXS = [Q, QR2, FieldCtx("QSqrt", d=3), QI, FieldCtx("QSqrt", d=-5)]
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("ctx", SIGNATURE_CTXS, ids=repr)
+def test_signature_matches_counted_signs(ctx, eps):
+    # the signature read from the Witt key against the signs of a scalar
+    # diagonalization, trace form <a, -d a> over Q(sqrt d)
+    for n in (1, 2, 3, 4):
+        if eps == -1 and ctx.kind == "Q" and n % 2:
+            continue  # every odd alternating matrix is singular
+        for trial in range(4):
+            t = random_hermitian_invertible(ctx, n, rng_for(97 + n, trial),
+                                            eps=eps)
+            c = witt_class(t)
+            want = signature_count(t)
+            assert c.signature() == want
+            assert c.to_json()["signature"] == want
+    zero = WittClass.zero(ctx, eps)
+    assert zero.signature() == 0
+    assert zero.to_json()["signature"] == 0
+
+
+@pytest.mark.parametrize("ctx", [F5, F9], ids=repr)
+def test_signature_refused_over_finite_fields(ctx):
+    c = wc(ctx, [1, 2])
+    with pytest.raises(ValidationError):
+        c.signature()
+    assert c.to_json()["signature"] is None
 
 
 # ---------------------------------------------------------------------------
