@@ -14,7 +14,13 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import MaslovError, NonGeneric, ParseError, TooLarge
+from .errors import (
+    MaslovError,
+    NonGeneric,
+    ParseError,
+    TooLarge,
+    WrongContext,
+)
 from .fields import INF, FieldCtx
 from .forms import FormMatrix
 from .lagrange import (
@@ -148,6 +154,9 @@ def cmd_disc(ctx, inputs, args):
 
 
 def cmd_hilbert(ctx, inputs, args):
+    # the symbol is the rational one: a report must not name another field
+    if ctx.kind != "Q":
+        raise WrongContext("Hilbert symbols need a Q context")
     try:
         a, b = Fraction(str(inputs["a"])), Fraction(str(inputs["b"]))
         place = inputs["place"]

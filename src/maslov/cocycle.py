@@ -101,10 +101,7 @@ def kashiwara_form(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> FormMatrix:
 def kashiwara_class(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> WittClass:
     """Witt class of the nondegenerate part of the Kashiwara form; agrees
     with the cocycle on pairwise opposite triples."""
-    form = kashiwara_form(x, y, z)
-    nondeg, _ = radical_split(form)
-    if nondeg.dim == 0:
-        return WittClass.zero(x.space.ctx)
+    nondeg, _ = radical_split(kashiwara_form(x, y, z))
     return witt_class(nondeg)
 
 

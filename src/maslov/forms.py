@@ -176,18 +176,11 @@ def radical_split(t: FormMatrix):
 
 
 def signature(t: FormMatrix) -> int:
-    """Signature of a symmetric form over Q (or of trf over Q(sqrt d))."""
+    """Signature of a symmetric form over Q."""
     if t.ctx.kind != "Q":
         raise ValidationError("signature is only defined over Q")
     dg = diagonalize(t)
     return sum(1 if e > 0 else -1 for e in dg.diag)
-
-
-def _scale_to_hermitian(t: FormMatrix) -> FormMatrix:
-    """Replace a skew-hermitian form (J != id) by an equivalent hermitian
-    one, multiplying by a trace-zero unit."""
-    u = t.ctx.generator()  # u^J = -u
-    return FormMatrix(t.ctx, t.mat.scale(u), 1)
 
 
 def hasse_invariant(entries, place) -> int:
@@ -206,19 +199,17 @@ def hasse_invariant(entries, place) -> int:
 def isometry_key(t: FormMatrix):
     """Hashable complete isometry invariant of a nondegenerate form: its
     dimension and Witt key."""
-    from .witt import _witt_key
+    from .witt import _witt_key, witt_class
 
-    ctx, eps, dim = t.ctx, t.eps, t.dim
+    ctx, dim = t.ctx, t.dim
+    if not ctx.is_finite:
+        return dim, witt_class(t)._key()
     det = t.det()
     if not det:
         raise DegenerateInput("isometry key of a degenerate form")
-    if ctx.is_finite or (eps == -1 and ctx.has_trivial_involution):
-        # these keys read only the dimension and the determinant, which
-        # <det, 1, ..., 1> shares with t
-        entries = (det,) + (ctx.one(),) * (dim - 1)
-    else:
-        entries = diagonalize(t if eps == 1 else _scale_to_hermitian(t)).diag
-    return dim, _witt_key(ctx, eps, entries)
+    # the finite keys read only the dimension and the determinant, which
+    # <det, 1, ..., 1> shares with t
+    return dim, _witt_key(ctx, t.eps, (det,) + (ctx.one(),) * (dim - 1))
 
 
 def is_isometric(t1: FormMatrix, t2: FormMatrix) -> bool:

@@ -28,6 +28,9 @@ from .fields import FieldCtx
 from .forms import FormMatrix
 from .linalg import Matrix
 
+# the candidates common_opposite samples before it gives up
+OPPOSITE_TRIES = 4000
+
 
 class HyperbolicSpace:
     """The standard hyperbolic module of rank n over a field context."""
@@ -287,7 +290,7 @@ def enumerate_lagrangians(space: HyperbolicSpace, limit: int = 500000):
         c.transpose().raw))]
 
 
-def common_opposite(lags, rng=None, max_tries: int = 4000) -> Lagrangian:
+def common_opposite(lags, rng=None) -> Lagrangian:
     """A Lagrangian opposite to every member of the finite collection.
 
     Over a small finite field the scan is exhaustive; large finite fields
@@ -315,7 +318,7 @@ def common_opposite(lags, rng=None, max_tries: int = 4000) -> Lagrangian:
     n = space.n
     eye = Matrix.identity(ctx, n)
     span = 1
-    for trial in range(max_tries):
+    for trial in range(OPPOSITE_TRIES):
         if trial and trial % 200 == 0:
             span += 1
         raw = Matrix(ctx, [[ctx.random_element(rng, span) for _ in range(n)]

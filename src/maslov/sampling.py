@@ -20,6 +20,9 @@ from .lagrange import (
 )
 from .linalg import Matrix
 
+# the draws random_opposite_quadruple makes before it gives up
+QUADRUPLE_TRIES = 200
+
 
 def rng_for(seed: int, trial: int) -> random.Random:
     return random.Random((seed << 24) ^ (trial * 2654435761 % (1 << 48)))
@@ -83,12 +86,12 @@ def random_opposite_triple(space: HyperbolicSpace, rng):
     return g(x0), g(y0), g(u_t(space, t)(y0))
 
 
-def random_opposite_quadruple(space: HyperbolicSpace, rng, max_tries=200):
+def random_opposite_quadruple(space: HyperbolicSpace, rng):
     """(gX, gY, g u_t Y, g u_t' Y) with all six oppositions; resamples
     until t, t', t' - t and t^{-1} - t'^{-1} are all invertible."""
     ctx = space.ctx
     x0, y0 = space.standard_pair()
-    for _ in range(max_tries):
+    for _ in range(QUADRUPLE_TRIES):
         t = random_hermitian_invertible(ctx, space.n, rng)
         tp = random_hermitian_invertible(ctx, space.n, rng)
         if not (tp.mat - t.mat).is_invertible():

@@ -1,8 +1,9 @@
 """Witt classes, the extended square-class group, and Hilbert symbols.
 
-Every Witt-class decision (zero test, equality, hashing, and through
-``forms.isometry_key`` isometry) reads one complete invariant per field
-kind, ``_witt_key``, computed from a diagonal representative:
+Every Witt-class decision (zero test, equality, hashing, the signature,
+and through ``forms.isometry_key`` isometry) reads one complete invariant
+per field kind, ``_witt_key``, computed from a diagonal representative
+that only ``witt_class`` reduces a form to:
 
   * F_p       -- dimension parity and the Legendre symbol of the signed
                  discriminant;
@@ -41,12 +42,7 @@ from .fields import (
     square_class,
     squarefree_part,
 )
-from .forms import (
-    FormMatrix,
-    _scale_to_hermitian,
-    diagonalize,
-    hasse_invariant,
-)
+from .forms import FormMatrix, diagonalize, hasse_invariant
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +393,14 @@ class WittClass:
     def dim_mod2(self) -> int:
         return len(self.diag) % 2
 
-    def rational_entries(self):
-        return [self.ctx.fixed_rational(e) for e in self.diag]
-
     def signature(self) -> int:
-        if self.ctx.kind == "Q":
-            return sum(1 if e > 0 else -1 for e in self.diag)
-        if self.ctx.kind == "QSqrt":
-            return trace_transfer(self).signature()
-        raise ValidationError("signature needs a characteristic-0 field")
+        """The signature over Q, or of the trace form over Q(sqrt d): the
+        first component of the rational key.  The skew class over Q has
+        the empty key and signature 0."""
+        if self.ctx.is_finite:
+            raise ValidationError("signature needs a characteristic-0 field")
+        key = self._key()
+        return key[0] if key else 0
 
     # -- group structure ---------------------------------------------------
 
@@ -450,18 +445,13 @@ class WittClass:
             "is_zero": self.is_zero(),
             "in_II": disc.is_identity(),
             "representative": [self.ctx.scalar_to_json(e) for e in self.diag],
+            "signature": None if self.ctx.is_finite else self.signature(),
         }
         if self.ctx.kind == "Q":
-            entries = self.rational_entries()
-            out["signature"] = self.signature()
             out["hasse"] = [
-                {"p": str(pl), "val": hasse_invariant(entries, pl)}
-                for pl in relevant_places(entries)
+                {"p": str(pl), "val": hasse_invariant(self.diag, pl)}
+                for pl in relevant_places(self.diag)
             ]
-        elif self.ctx.kind == "QSqrt":
-            out["signature"] = self.signature()
-        else:
-            out["signature"] = None
         return out
 
     def __repr__(self):
@@ -492,7 +482,10 @@ def witt_class(t: FormMatrix) -> WittClass:
         # the skew Witt group is trivial: only nondegeneracy is read
         diag, degenerate = (), not t.is_nondegenerate()
     else:
-        dg = diagonalize(t if eps == 1 else _scale_to_hermitian(t))
+        if eps == -1:
+            # u t is hermitian for the trace-zero unit u, as u^J = -u
+            t = FormMatrix._of(ctx, t.mat.scale(ctx.generator()), 1)
+        dg = diagonalize(t)
         diag, degenerate = dg.diag, dg.radical_dim > 0
     if degenerate:
         raise DegenerateInput("Witt class needs a nondegenerate form")
@@ -506,6 +499,6 @@ def trace_transfer(h: WittClass) -> WittClass:
         raise WrongContext("trace transfer needs a Q(sqrt(d)) context")
     minus_d = Fraction(-h.ctx.d)
     entries = []
-    for a in h.rational_entries():
+    for a in map(h.ctx.fixed_rational, h.diag):
         entries += [a, minus_d * a]
     return WittClass(FieldCtx("Q", epsilon=1), entries, eps=1)

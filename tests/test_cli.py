@@ -66,6 +66,20 @@ def test_hilbert_command():
     assert report_of(proc)["outputs"]["symbol"] == -1
 
 
+def test_hilbert_refuses_a_field_other_than_q(capsys):
+    job = '{"a":2,"b":5,"place":5}'
+    for field in ('{"kind":"Q","epsilon":1}', '{"kind":"Q","epsilon":-1}'):
+        assert cli.run(["hilbert", "--field", field, "--input", job]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"] == {
+            "symbol": -1}
+    for field in ('{"kind":"Fp","p":5}', '{"kind":"Fp2","p":3}',
+                  '{"kind":"QSqrt","d":-1}', '{"kind":"QSqrt","d":2}'):
+        assert cli.run(["hilbert", "--field", field, "--input", job]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "hilbert", "error": "WrongContext",
+            "message": "Hilbert symbols need a Q context"}
+
+
 def test_hilbert_reads_its_scalars_as_every_command_does(capsys):
     # a JSON float is read by its decimal text, as FieldCtx.parse_scalar
     # reads it, so 0.2 is 1/5 and not its binary double

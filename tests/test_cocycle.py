@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from maslov import cli, cocycle
+from maslov import cli, cocycle, sampling
 from maslov.errors import (
     ConstraintViolated,
     DimensionMismatch,
@@ -125,10 +125,10 @@ def test_boundary_defect_random(ctx, n):
         assert boundary_defect(*quad).is_zero()
 
 
-def test_quadruple_sampling_exhaustion_is_not_found():
+def test_quadruple_sampling_exhaustion_is_not_found(monkeypatch):
+    monkeypatch.setattr(sampling, "QUADRUPLE_TRIES", 0)
     with pytest.raises(NotFound):
-        random_opposite_quadruple(HyperbolicSpace(Q, 1), rng_for(73, 0),
-                                  max_tries=0)
+        random_opposite_quadruple(HyperbolicSpace(Q, 1), rng_for(73, 0))
 
 
 def test_relation_check_examples():
