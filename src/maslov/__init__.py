@@ -9,7 +9,6 @@ from .forms import (
     is_isometric,
     isometry_key,
     radical_split,
-    signature,
 )
 from .lagrange import (
     HyperbolicSpace,

@@ -2,6 +2,8 @@
 
 One job per invocation.  Reports are deterministic byte-for-byte for a
 fixed job (including the seed); wall-clock timing goes to stderr only.
+One argparse parser, built on the first ``run``, serves every later
+``run`` in the process.
 Exit status: 0 when every check passes, 1 when a check fails, 2 on
 input or precondition errors.
 """
@@ -9,6 +11,7 @@ input or precondition errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -308,7 +311,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    # parse_args keeps no state in the parser, so one serves every run
     ap = argparse.ArgumentParser(
         prog="maslov",
         description="Exact verification of the Lagrangian triple cocycle, "

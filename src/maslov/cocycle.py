@@ -10,6 +10,7 @@ into the subgroup of discriminant kernel classes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import (
@@ -226,8 +227,10 @@ def reduced_maslov(bt: BasedTriple) -> WittClass:
 # Orbit census over finite fields
 
 
+@lru_cache(maxsize=None)
 def _unit_generator(ctx):
-    """A unit of a finite field whose powers reach all q - 1 units."""
+    """A unit of a finite field whose powers reach all q - 1 units, found
+    once per context (the census only reaches small fields)."""
     for v in ctx.nonzero_elements():
         x, k = v, 1
         while x != 1:

@@ -61,6 +61,17 @@ def factorize(n: int) -> dict:
     return dict(_factorize_abs(abs(n)))
 
 
+@lru_cache(maxsize=None)
+def _small_primes():
+    """The primes from 17 to 20000 and their product, sieved on first use."""
+    sieve = bytearray([1]) * 20000
+    for i in range(2, math.isqrt(20000) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, 20000, i)))
+    primes = list(itertools.compress(range(17, 20000), sieve[17:]))
+    return primes, math.prod(primes)
+
+
 @lru_cache(maxsize=65536)
 def _factorize_abs(n: int):
     out: dict = {}
@@ -68,12 +79,24 @@ def _factorize_abs(n: int):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 17
-    while f * f <= n and f < 20000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
+    if n >= 17 * 17:
+        # one gcd with the product of the primes from 17 on finds every
+        # small prime factor (Bernstein's smooth-part trick); g is
+        # squarefree, so what is left of it once p^2 > g is 1 or a prime
+        primes, product = _small_primes()
+        g = math.gcd(n, product)
+        for p in primes:
+            if p * p > g:
+                break
+            if g % p == 0:
+                g //= p
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+        if g > 1:
+            while n % g == 0:
+                out[g] = out.get(g, 0) + 1
+                n //= g
     if n > 1:
         for p in _factor_large(n, [RHO_STEPS]):
             out[p] = out.get(p, 0) + 1
@@ -96,15 +119,16 @@ def _kth_root(n: int, k: int) -> int:
 
 
 def _factor_large(n: int, budget: list) -> list:
-    # Pollard rho (Floyd) for cofactors the trial division above left
+    # Pollard rho (Floyd) for cofactors the small primes above left
     # behind, with one gcd per batch of steps; budget[0] is the number of
     # steps left to the whole factorize call.
     if n == 1:
         return []
     if is_prime(n):
         return [n]
-    # trial division left no prime below 20000 > 2^14, so n = r^k has
-    # k <= bits / 14; rho would need about r^(1/2) steps to split it
+    # the gcd with the small primes left no prime below 20000 > 2^14, so
+    # n = r^k has k <= bits / 14; rho would need about r^(1/2) steps to
+    # split it
     for k in range(2, n.bit_length() // 14 + 1):
         r = math.isqrt(n) if k == 2 else _kth_root(n, k)
         if r ** k == n:

@@ -175,14 +175,6 @@ def radical_split(t: FormMatrix):
     return nondeg, dg.radical_dim
 
 
-def signature(t: FormMatrix) -> int:
-    """Signature of a symmetric form over Q."""
-    if t.ctx.kind != "Q":
-        raise ValidationError("signature is only defined over Q")
-    dg = diagonalize(t)
-    return sum(1 if e > 0 else -1 for e in dg.diag)
-
-
 def hasse_invariant(entries, place) -> int:
     """Hasse invariant prod_{i<j} (a_i, a_j)_place of a rational diagonal
     form."""

@@ -1,5 +1,6 @@
 """Independent oracles and helpers that only the tests use.
 
+* Factorization by trial division over every integer from 2 up.
 * The local Hasse-Minkowski oracles: p-adic square classes, the Hasse
   invariant of the split form, local Witt triviality and the realizable
   local invariant tuples.
@@ -48,6 +49,24 @@ from maslov.lagrange import (
 )
 from maslov.linalg import Matrix
 from maslov.witt import WittClass, _val_unit, hilbert_symbol
+
+
+# ---------------------------------------------------------------------------
+# Factorization
+
+
+def trial_factorize(n: int) -> dict:
+    """{p: exponent} of |n| for nonzero n, dividing by 2 and then by every
+    odd d while d^2 <= the cofactor."""
+    n, out, d = abs(n), {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,31 @@ def test_precondition_error_surfaced():
     assert rep["error"] == "DegenerateInput"
 
 
+def test_one_parser_keeps_no_state_between_jobs(tmp_path, capsys):
+    # run reuses one parser; a job after one with every option set, and
+    # after argparse rejections, reports as a fresh process does
+    field = '{"kind":"Fp","p":5}'
+    out = tmp_path / "first.json"
+    assert cli.run(["steinberg-check", "--field", field, "--exhaustive",
+                    "--trials", "3", "--seed", "5",
+                    "--output", str(out)]) == 0
+    first = capsys.readouterr().out
+    assert json.loads(first)["seed"] == 5
+    job = ["steinberg-check", "--field", field]
+    fresh = invoke(*job)
+    assert fresh.returncode == 0
+    assert cli.run(job) == 0
+    assert capsys.readouterr().out == fresh.stdout
+    assert out.read_text(encoding="utf-8") == first
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["no-such-command"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.run(job) == 0
+    assert capsys.readouterr().out == fresh.stdout
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "report.json"
     proc = invoke("hilbert", "--input",

@@ -14,7 +14,7 @@ from maslov.fields import (
     norm_subgroup_class,
     squarefree_part,
 )
-from oracles import PairOracle, PrimeFieldOracle
+from oracles import PairOracle, PrimeFieldOracle, trial_factorize
 
 ALL_CTXS = [
     FieldCtx("Q"),
@@ -118,6 +118,35 @@ def test_factorize_splits_perfect_powers():
     assert factorize(m61**2 * q) == {m61: 2, q: 1}
     assert factorize(q**2 * m61) == {q: 2, m61: 1}
     assert factorize((m61 * q)**2 * 2**5) == {2: 5, q: 2, m61: 2}
+
+
+def _large_primes(rng, count):
+    # distinct primes from [2^20, 2^20 + 2^14), the range the cli-jobs
+    # benchmark draws its large witt and disc entries from
+    out = set()
+    while len(out) < count:
+        q = (1 << 20) + rng.randrange(1 << 14)
+        if trial_factorize(q) == {q: 1}:
+            out.add(q)
+    return sorted(out)
+
+
+def test_factorize_matches_trial_division():
+    # every prime below 20000 comes off through one gcd with their product,
+    # the rest through _factor_large: primes on both sides of 20000, their
+    # powers (20011^2 splits as a perfect power), products across the line
+    lo, hi = 19997, 20011
+    cases = list(range(1, 17 * 17 + 2)) + [17 * 19, 19993 * 19997]
+    cases += [lo, hi, lo**2, hi**2, lo**3, hi**3, lo * hi, lo**2 * 19993,
+              lo**2 * hi, lo * hi**2, 17**2 * hi**2]
+    cases += [2**a * 3**b * 19993 for a in range(4) for b in range(4)]
+    rng = random.Random(18)
+    big = _large_primes(rng, 12)
+    cases += [q1 * q2 for q1, q2 in zip(big[::2], big[1::2])]
+    cases += [rng.randrange(1, 10**10) for _ in range(300)]
+    for n in cases:
+        want = trial_factorize(n)
+        assert factorize(n) == want == factorize(-n), n
 
 
 def test_norm_class_examples():

@@ -19,7 +19,6 @@ from maslov.forms import (
     is_isometric,
     isometry_key,
     radical_split,
-    signature,
 )
 from maslov.linalg import Matrix
 from maslov.sampling import (
@@ -28,7 +27,13 @@ from maslov.sampling import (
     random_invertible,
     rng_for,
 )
-from oracles import diagonal_rational, direct_sum, scalar_diagonalize
+from maslov.witt import witt_class
+from oracles import (
+    diagonal_rational,
+    direct_sum,
+    scalar_diagonalize,
+    signature_count,
+)
 
 Q = FieldCtx("Q")
 F5 = FieldCtx("Fp", p=5)
@@ -233,10 +238,10 @@ def test_radical_split_direct_sum_with_zeros():
 
 
 def test_signature():
-    assert signature(diagonal_rational(Q, [1, 1, 1, 1])) == 4
-    assert signature(diagonal_rational(Q, [1, -2, 3])) == 1
-    hyp = FormMatrix(Q, [[0, 1], [1, 0]], 1)
-    assert signature(hyp) == 0
+    for t, want in [(diagonal_rational(Q, [1, 1, 1, 1]), 4),
+                    (diagonal_rational(Q, [1, -2, 3]), 1),
+                    (FormMatrix(Q, [[0, 1], [1, 0]], 1), 0)]:
+        assert witt_class(t).signature() == want == signature_count(t)
 
 
 def test_skew_forms_single_class():
