@@ -1,6 +1,6 @@
 """Independent oracles and helpers that only the tests use.
 
-* Factorization by trial division over every integer from 2 up.
+* Factorization by trial division by 2 and every odd integer.
 * The local Hasse-Minkowski oracles: p-adic square classes, the Hasse
   invariant of the split form, local Witt triviality and the realizable
   local invariant tuples.
