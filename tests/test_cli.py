@@ -478,6 +478,23 @@ def test_golden_census_reports(job, capsys):
     assert capsys.readouterr().out == expected
 
 
+GOLDEN_SYMBOLS = json.loads(
+    (Path(__file__).parent / "data" / "golden_symbol_reports.json")
+    .read_text())
+
+
+@pytest.mark.parametrize("job", GOLDEN_SYMBOLS, ids=lambda job: " ".join(
+    a for a in job["argv"] if a != "--field"))
+def test_golden_symbol_reports(job, capsys):
+    # steinberg-check swept over F_3, F_5 and F_7 and sampled over Q;
+    # compare on single pairs over Q and F_5 (one not generic) and sampled
+    # over Q, F_5 and F_7: the relation counts, the match counts and the
+    # refusal must not change with the way the symbol route is computed
+    assert cli.run(job["argv"]) == job["status"]
+    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+
+
 GOLDEN_LAGRANGIANS = json.loads(
     (Path(__file__).parent / "data" / "golden_lagrangian_reports.json")
     .read_text())
