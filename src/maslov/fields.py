@@ -525,10 +525,10 @@ class FieldCtx:
     # -- elements ------------------------------------------------------
 
     def zero(self):
-        return self.from_int(0)
+        return self.kernel.wrap(self.kernel.zero)
 
     def one(self):
-        return self.from_int(1)
+        return self.kernel.wrap(self.kernel.one)
 
     def from_int(self, n: int):
         return self.kernel.wrap(self.kernel.unwrap(n))

@@ -3,7 +3,8 @@
 Symbols {x, y} are kept as free formal sums; the five defining relations
 are checked after applying the reduction map R into the Witt group, never
 by solving a word problem.  The generic two-cocycle on determinant-one
-2 x 2 matrices is compared against the reduced cocycle route.
+2 x 2 matrices is compared against the reduced cocycle route; the safety
+net of its factorization compares scalars, not matrix products.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .cocycle import BasedTriple, _require_symplectic, reduced_maslov
 from .errors import NonGeneric, ValidationError, WrongContext, ZeroInput
 from .fields import FieldCtx
 from .forms import FormMatrix
-from .lagrange import HyperbolicSpace
+from .lagrange import HyperbolicSpace, Lagrangian
 from .linalg import Matrix
 from .witt import WittClass
 
@@ -39,20 +40,17 @@ class SymbolSum:
     def symbol(ctx, x, y):
         return SymbolSum(ctx, {(x, y): 1})
 
-    def __add__(self, other):
-        if self.ctx != other.ctx:
-            raise ValidationError("symbol sums over different fields")
-        out = SymbolSum(self.ctx)
-        out.terms = self.terms + other.terms
-        return out
-
-    def __sub__(self, other):
+    def __add__(self, other, sign=1):
         if self.ctx != other.ctx:
             raise ValidationError("symbol sums over different fields")
         out = SymbolSum(self.ctx)
         out.terms = Counter(self.terms)
-        out.terms.subtract(other.terms)
+        for pair, mult in other.terms.items():
+            out.terms[pair] += sign * mult  # Counter's + drops negatives
         return out
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
 
     def items(self):
         return [(pair, mult) for pair, mult in self.terms.items() if mult]
@@ -105,33 +103,28 @@ def _sym_class(ctx, x, y):
 def steinberg_relations_report(ctx: FieldCtx, triples) -> dict:
     """Check the five symbol relations after applying R, over the supplied
     (s, t, r) scalar triples.  Returns per-relation counts and violations."""
-    names = ["additivity", "unit", "inverse-swap", "negate-product",
-             "one-minus"]
-    checks = {name: 0 for name in names}
+    checks = dict.fromkeys(["additivity", "unit", "inverse-swap",
+                            "negate-product", "one-minus"], 0)
     violations = []
     one = ctx.one()
     for (s, t, r) in triples:
         if not (s and t and r):
             continue
         st = _sym_class(ctx, s, t)
-        checks["additivity"] += 1
-        if (_sym_class(ctx, s * t, r) + st
-                != _sym_class(ctx, s, t * r) + _sym_class(ctx, t, r)):
-            violations.append(("additivity", s, t, r))
-        checks["unit"] += 1
-        if not (_sym_class(ctx, s, one).is_zero()
-                and _sym_class(ctx, one, s).is_zero()):
-            violations.append(("unit", s, t, r))
-        checks["inverse-swap"] += 1
-        if st != _sym_class(ctx, one / t, s):
-            violations.append(("inverse-swap", s, t, r))
-        checks["negate-product"] += 1
-        if st != _sym_class(ctx, s, -(s * t)):
-            violations.append(("negate-product", s, t, r))
+        held = {
+            "additivity": _sym_class(ctx, s * t, r) + st
+            == _sym_class(ctx, s, t * r) + _sym_class(ctx, t, r),
+            "unit": _sym_class(ctx, s, one).is_zero()
+            and _sym_class(ctx, one, s).is_zero(),
+            "inverse-swap": st == _sym_class(ctx, one / t, s),
+            "negate-product": st == _sym_class(ctx, s, -(s * t)),
+        }
         if s != one:
-            checks["one-minus"] += 1
-            if st != _sym_class(ctx, s, (one - s) * t):
-                violations.append(("one-minus", s, t, r))
+            held["one-minus"] = st == _sym_class(ctx, s, (one - s) * t)
+        for name, ok in held.items():
+            checks[name] += 1
+            if not ok:
+                violations.append((name, s, t, r))
     return {"checks": checks, "violations": violations,
             "ok": not violations}
 
@@ -150,18 +143,6 @@ class Sl2Factorization(NamedTuple):
     t: object
 
 
-def _u(ctx, t):
-    return Matrix(ctx, [[ctx.one(), t], [ctx.zero(), ctx.one()]])
-
-
-def _b(ctx, r):
-    return Matrix(ctx, [[ctx.zero(), r], [-(ctx.one() / r), ctx.zero()]])
-
-
-def _a(ctx, r):
-    return Matrix(ctx, [[r, ctx.zero()], [ctx.zero(), ctx.one() / r]])
-
-
 def generic_decompose(g: Matrix) -> Sl2Factorization:
     """Exact factorization of a determinant-one 2 x 2 matrix."""
     if g.m != 2 or g.n != 2:
@@ -171,18 +152,17 @@ def generic_decompose(g: Matrix) -> Sl2Factorization:
         raise ValidationError("matrix must have determinant one")
     # single entries: rows would cache scalars on the caller's matrix
     g11, g12, g21, g22 = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
+    one = ctx.one()
     if g21:
-        r = -(ctx.one() / g21)
-        s = g11 / g21
-        t = g22 / g21
+        r, s, t = -(one / g21), g11 / g21, g22 / g21
         fac = Sl2Factorization("b", s, r, t)
-        if _u(ctx, s) * _b(ctx, r) * _u(ctx, t) != g:
-            raise ValidationError("factorization failed")  # safety net
-        return fac
-    r = g11
-    t = g12 / g11
-    fac = Sl2Factorization("a", ctx.zero(), r, t)
-    if _a(ctx, r) * _u(ctx, t) != g:
+        # safety net: the entries of u_s b_r u_t, resp. a_r u_t below
+        product = (-(s / r), r - s * t / r, -(one / r), -(t / r))
+    else:
+        r, t = g11, g12 / g11
+        fac = Sl2Factorization("a", ctx.zero(), r, t)
+        product = (r, r * t, ctx.zero(), one / r)
+    if product != (g11, g12, g21, g22):
         raise ValidationError("factorization failed")
     return fac
 
@@ -213,16 +193,14 @@ def stbg_parameters(g1: Matrix, g2: Matrix):
 def reduced_route(ctx, r1, r2, t) -> WittClass:
     """The cocycle value of the generic pair with parameters (r1, r2, t),
     computed through the reduced cocycle on the based triple with
-    witnesses a = 1, b = r1^{-1}, c = -r2^{-1}."""
+    witnesses a = 1, b = r1^{-1}, c = -r2^{-1}, built unchecked: its
+    frame and kappa decide opposition."""
     space = HyperbolicSpace(ctx, 1)
-    one = ctx.one()
-    bt = BasedTriple.from_witnesses(
-        space,
-        Matrix(ctx, [[one]]),
-        Matrix(ctx, [[one / r1]]),
-        Matrix(ctx, [[-(one / r2)]]),
-        Matrix(ctx, [[t]]),
-    )
+    one, zero, raw = ctx.one(), ctx.zero(), ctx.kernel.unwrap
+    c = -(one / r2)
+    bases = [Matrix._of(ctx, ((raw(x),), (raw(y),)))
+             for x, y in ((one, zero), (zero, one / r1), (t * c, c))]
+    bt = BasedTriple(*(Lagrangian._of(space, b) for b in bases))
     return reduced_maslov(bt).neg()
 
 

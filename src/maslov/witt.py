@@ -366,14 +366,19 @@ class WittClass:
     def __init__(self, ctx: FieldCtx, diag, eps: int = 1):
         if eps == -1 and ctx.has_trivial_involution:
             diag = ()
-        self.ctx = ctx
-        self.eps = eps
+        self.ctx, self.eps, self._key_cache = ctx, eps, None
         self.diag = tuple(_normalize_entry(ctx, e) for e in diag)
-        if any(not e for e in self.diag):
+        if not all(self.diag):
             raise DegenerateInput("Witt representative has a zero entry")
-        self._key_cache = None
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _of(cls, ctx, diag, eps):
+        # + and neg: a tuple of normalized nonzero entries, as it is
+        out = cls.__new__(cls)
+        out.ctx, out.eps, out.diag, out._key_cache = ctx, eps, diag, None
+        return out
 
     @staticmethod
     def zero(ctx, eps=1):
@@ -405,13 +410,13 @@ class WittClass:
     # -- group structure ---------------------------------------------------
 
     def neg(self):
-        return WittClass(self.ctx, tuple(-e for e in self.diag), self.eps)
+        return WittClass._of(self.ctx, tuple(-e for e in self.diag), self.eps)
 
     def __add__(self, other):
         if not isinstance(other, WittClass):
             return NotImplemented
         self._check_context(other)
-        return WittClass(self.ctx, self.diag + other.diag, self.eps)
+        return WittClass._of(self.ctx, self.diag + other.diag, self.eps)
 
     def __sub__(self, other):
         return self + other.neg()

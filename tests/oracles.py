@@ -16,13 +16,15 @@
 * The based edge cochain read in the frame of the pair.
 * Block sums of Lagrangians and extension of scalars, for the stability
   and naturality laws of the cocycle.
+* The factors u_t, b_r and a_r of the SL_2 decomposition, and the symbol
+  comparison's reduced route built through the checked constructors.
 """
 
 import functools
 import itertools
 from fractions import Fraction
 
-from maslov.cocycle import CensusResult
+from maslov.cocycle import BasedTriple, CensusResult, reduced_maslov
 from maslov.errors import (
     TooLarge,
     ValidationError,
@@ -511,3 +513,33 @@ def extend_witt_class(ext: FieldCtx, t: FormMatrix) -> WittClass:
     form."""
     return WittClass(ext, [extend_scalar(t.ctx, ext, d)
                            for d in scalar_diagonalize(t).diag])
+
+
+# ---------------------------------------------------------------------------
+# The SL_2 factors and the checked reduced route
+
+
+def _u(ctx, t):
+    return Matrix(ctx, [[ctx.one(), t], [ctx.zero(), ctx.one()]])
+
+
+def _b(ctx, r):
+    return Matrix(ctx, [[ctx.zero(), r], [-(ctx.one() / r), ctx.zero()]])
+
+
+def _a(ctx, r):
+    return Matrix(ctx, [[r, ctx.zero()], [ctx.zero(), ctx.one() / r]])
+
+
+def checked_reduced_route(ctx, r1, r2, t) -> WittClass:
+    """``symbols.reduced_route`` with its based triple built by the checked
+    ``BasedTriple.from_witnesses``: witnesses 1, r1^{-1} and -r2^{-1}."""
+    one = ctx.one()
+    bt = BasedTriple.from_witnesses(
+        HyperbolicSpace(ctx, 1),
+        Matrix(ctx, [[one]]),
+        Matrix(ctx, [[one / r1]]),
+        Matrix(ctx, [[-(one / r2)]]),
+        Matrix(ctx, [[t]]),
+    )
+    return reduced_maslov(bt).neg()

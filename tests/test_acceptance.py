@@ -36,14 +36,12 @@ from maslov.sampling import (
 )
 from maslov.symbols import (
     R_map,
-    _b,
-    _u,
     quaternion_form,
     stbg,
     steinberg_relations_report,
 )
 from maslov.witt import witt_class
-from oracles import local_invariant_tuples, signature_count
+from oracles import _b, _u, local_invariant_tuples, signature_count
 
 SEED = 20259
 

@@ -1,6 +1,7 @@
 """Steinberg symbols, the reduction map, and the cocycle comparison."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,22 +13,30 @@ from maslov.linalg import Matrix
 from maslov.symbols import (
     R_map,
     SymbolSum,
-    _b,
     _sym_class,
-    _u,
     compare_stbg_maslov,
     generic_decompose,
     quaternion_form,
+    reduced_route,
     stbg,
     stbg_parameters,
     steinberg_relations_report,
 )
 from maslov.witt import (
+    WittClass,
     hilbert_symbol,
     relevant_places,
     witt_class,
 )
-from oracles import diagonal_rational, local_witt_is_zero, signature_count
+from oracles import (
+    _a,
+    _b,
+    _u,
+    checked_reduced_route,
+    diagonal_rational,
+    local_witt_is_zero,
+    signature_count,
+)
 
 Q = FieldCtx("Q")
 F5 = FieldCtx("Fp", p=5)
@@ -184,24 +193,46 @@ def test_generic_decompose_examples():
 
 
 def test_generic_decompose_random_round_trip():
+    # 200 seeded determinant-one matrices over Q, every fifth one drawn
+    # upper triangular (shape "a"): the factors multiply back to the matrix
     import random
 
     rng = random.Random(17)
-    from maslov.symbols import _a
-
-    for _ in range(40):
+    shapes = Counter()
+    while sum(shapes.values()) < 200:
         vals = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                 for _ in range(4)]
+        if sum(shapes.values()) % 5 == 4:
+            vals[2] = Fraction(0)
         m = Matrix(Q, [vals[:2], vals[2:]])
         d = m.det()
         if not d:
             continue
         m = Matrix(Q, [[v / d for v in m.rows[0]], list(m.rows[1])])
         f = generic_decompose(m)
-        if f.shape == "b":
-            assert _u(Q, f.s) * _b(Q, f.r) * _u(Q, f.t) == m
-        else:
-            assert _a(Q, f.r) * _u(Q, f.t) == m
+        shapes[f.shape] += 1
+        assert multiplied_back(Q, f) == m
+    assert shapes["a"] >= 40 and shapes["b"] >= 100
+
+
+def test_generic_decompose_multiplies_back_over_f5():
+    # every one of the 120 elements of SL_2(F_5)
+    els = F5.elements()
+    count = 0
+    for entries in itertools.product(els, repeat=4):
+        m = Matrix(F5, [entries[:2], entries[2:]])
+        if m.det() != F5.one():
+            continue
+        count += 1
+        assert multiplied_back(F5, generic_decompose(m)) == m
+    assert count == 120
+
+
+def multiplied_back(ctx, f):
+    if f.shape == "b":
+        return _u(ctx, f.s) * _b(ctx, f.r) * _u(ctx, f.t)
+    assert not f.s
+    return _a(ctx, f.r) * _u(ctx, f.t)
 
 
 def test_decompose_requires_det_one():
@@ -264,6 +295,35 @@ def test_compare_example_and_random():
     # both sides have signature -4 here
     val = R_map(stbg(g1, g2))
     assert val.signature() == -4
+
+
+def test_symbol_sums_keep_negative_multiplicities():
+    # a sum keeps the negative terms of either side, as a difference does
+    a = SymbolSum.symbol(Q, frac(2), frac(3))
+    b = SymbolSum.symbol(Q, frac(-1), frac(-1))
+    got = (SymbolSum(Q) - b) + a
+    assert dict(got.items()) == {(2, 3): 1, (-1, -1): -1}
+    assert got == a - b and (a - b) + b == a
+    assert R_map(got) == R_map(a) - R_map(b)
+
+
+def test_reduced_route_matches_the_checked_construction():
+    # the trusted based triple against BasedTriple.from_witnesses, and both
+    # against the closed form -[<t, r1 r2 t, r1, r2>], on every triple of
+    # units over F_5 and F_7 and on 200 seeded rational triples
+    import random
+
+    rng = random.Random(29)
+    units = [Fraction(a, b) for a in range(-9, 10) if a for b in range(1, 5)]
+    triples = [(F, *tr) for F in (F5, F7)
+               for tr in itertools.product(F.nonzero_elements(), repeat=3)]
+    triples += [(Q, *(rng.choice(units) for _ in range(3)))
+                for _ in range(200)]
+    assert len(triples) == 4 ** 3 + 6 ** 3 + 200
+    for ctx, r1, r2, t in triples:
+        closed = WittClass(ctx, (t, r1 * r2 * t, r1, r2)).neg()
+        got = reduced_route(ctx, r1, r2, t)
+        assert got == checked_reduced_route(ctx, r1, r2, t) == closed
 
 
 def test_compare_exhaustive_f5():

@@ -127,6 +127,41 @@ def test_skew_trivial_group():
     assert skew.is_zero()
 
 
+@pytest.mark.parametrize("ctx, eps", [
+    (Q, 1), (QI, 1), (QR2, 1), (F5, 1), (F9, 1), (QI, -1), (Q, -1)],
+    ids=lambda v: repr(v) if isinstance(v, FieldCtx) else f"eps={v:+d}")
+def test_sum_and_negation_match_the_checked_constructor(ctx, eps):
+    # + and neg build their classes unchecked; on seeded diagonals, with
+    # non-squarefree rationals among them, the representative and the key
+    # are those the public constructor normalizes the same entries to
+    rng = random.Random(41)
+
+    def entry():
+        if ctx.is_finite:
+            return ctx.from_int(rng.randrange(1, ctx.p))
+        q = Fraction(rng.choice([v for v in range(-12, 13) if v]),
+                     rng.randint(1, 4))
+        return ctx.from_rational(q * rng.choice([1, 1, 4, 9]))
+
+    fixed = [Fraction(12), Fraction(-18, 5), Fraction(49, 4)]
+    for trial in range(30):
+        xs = [entry() for _ in range(rng.randint(0, 4))]
+        ys = [entry() for _ in range(rng.randint(1, 4))]
+        if trial < 3 and not ctx.is_finite:
+            xs.append(ctx.from_rational(fixed[trial]))
+        a, b = WittClass(ctx, xs, eps), WittClass(ctx, ys, eps)
+        for got, entries in ((a + b, xs + ys), (a.neg(), [-x for x in xs])):
+            checked = WittClass(ctx, entries, eps)
+            assert got.diag == checked.diag
+            assert got._key() == checked._key()
+            assert got == checked and hash(got) == hash(checked)
+    if eps == -1 and ctx.has_trivial_involution:
+        assert WittClass(ctx, [ctx.one(), ctx.zero()], eps).diag == ()
+    else:
+        with pytest.raises(DegenerateInput):
+            WittClass(ctx, [ctx.one(), ctx.zero()], eps)
+
+
 @pytest.mark.parametrize("ctx", HERM_CTXS, ids=repr)
 def test_witt_sum_inverse_random(ctx):
     for trial in range(20):
