@@ -108,6 +108,11 @@ def _triple(ctx, inputs):
     return tuple(_lagrangian(space, inputs[k]) for k in ("X", "Y", "Z"))
 
 
+def _form(ctx, inputs):
+    return FormMatrix(ctx, parse_matrix(ctx, inputs["matrix"]),
+                      inputs.get("eps", 1))
+
+
 def _open(path, mode):
     # a file that cannot be opened is bad input, not a crash
     try:
@@ -145,15 +150,11 @@ def cmd_tau(ctx, inputs, args):
 
 
 def cmd_witt(ctx, inputs, args):
-    eps = inputs.get("eps", 1)
-    form = FormMatrix(ctx, parse_matrix(ctx, inputs["matrix"]), eps)
-    return {"witt": witt_class(form).to_json()}, []
+    return {"witt": witt_class(_form(ctx, inputs)).to_json()}, []
 
 
 def cmd_disc(ctx, inputs, args):
-    eps = inputs.get("eps", 1)
-    form = FormMatrix(ctx, parse_matrix(ctx, inputs["matrix"]), eps)
-    return {"disc": witt_class(form).signed_disc().to_json()}, []
+    return {"disc": witt_class(_form(ctx, inputs)).signed_disc().to_json()}, []
 
 
 def cmd_hilbert(ctx, inputs, args):

@@ -61,7 +61,7 @@ def relation_check(r: FormMatrix, s: FormMatrix, t: FormMatrix) -> WittClass:
     if not (r.mat + s.mat + t.mat).is_zero():
         raise ConstraintViolated("r + s + t must vanish")
     for f in (r, s, t):
-        if not f.is_nondegenerate():
+        if not f.mat.is_invertible():
             raise ConstraintViolated("all three forms must be invertible")
     fourth = FormMatrix(
         r.ctx, -(r.mat.inverse().jt() + s.mat.inverse().jt()), r.eps)
@@ -205,7 +205,7 @@ def disc_defect(bt: BasedTriple) -> SHatElement:
     involution) or scaled by a trace-zero unit.
     """
     space = bt.v0.space
-    total = signed_discriminant(space.ctx, space.n, (bt._t.det(),))
+    total = signed_discriminant(space.ctx, space.n, (bt._t.mat.det(),))
     cyc = (based_cochain_f(bt.v0, bt.v1) + based_cochain_f(bt.v1, bt.v2)
            + based_cochain_f(bt.v2, bt.v0))
     return total - cyc

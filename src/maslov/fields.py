@@ -461,7 +461,7 @@ class FieldCtx:
 
     def __init__(self, kind: str, p: int | None = None, d: int | None = None,
                  epsilon: int = 1):
-        if not isinstance(epsilon, int) or epsilon not in (1, -1):
+        if type(epsilon) is not int or epsilon not in (1, -1):
             raise ValidationError("epsilon must be +1 or -1")
         if not all(v is None or isinstance(v, int) for v in (p, d)):
             raise ValidationError("p and d must be integers")
@@ -620,8 +620,8 @@ class FieldCtx:
 
 
 def norm_subgroup_class(ctx: FieldCtx, x):
-    """The class of x modulo the norm subgroup {y^J y}, as a
-    ``witt.NormClassRep``."""
-    from .witt import NormClassRep
+    """The class of x modulo the norm subgroup {y^J y}: the element (x, +1)
+    of S^, a ``witt.SHatElement``."""
+    from .witt import SHatElement
 
-    return NormClassRep(ctx, (x,))
+    return SHatElement(ctx, (x,))

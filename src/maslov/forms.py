@@ -34,7 +34,7 @@ class FormMatrix:
         m = mat if isinstance(mat, Matrix) else Matrix(ctx, mat)
         if m.m != m.n:
             raise DimensionMismatch("form matrix must be square")
-        if eps not in (1, -1):
+        if type(eps) is not int or eps not in (1, -1):
             raise ValidationError("eps must be +1 or -1")
         herm = m.jt()
         if (herm if eps == 1 else -herm) != m:
@@ -57,12 +57,6 @@ class FormMatrix:
     @property
     def dim(self):
         return self.mat.n
-
-    def is_nondegenerate(self):
-        return bool(self.mat.det())
-
-    def det(self):
-        return self.mat.det()
 
     def neg(self):
         return FormMatrix._of(self.ctx, -self.mat, self.eps)
@@ -196,7 +190,7 @@ def isometry_key(t: FormMatrix):
     ctx, dim = t.ctx, t.dim
     if not ctx.is_finite:
         return dim, witt_class(t)._key()
-    det = t.det()
+    det = t.mat.det()
     if not det:
         raise DegenerateInput("isometry key of a degenerate form")
     # the finite keys read only the dimension and the determinant, which

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+from .cocycle import BasedTriple
 from .errors import NotFound
 from .forms import FormMatrix
 from .lagrange import (
@@ -55,7 +56,7 @@ def random_hermitian_invertible(ctx, n, rng, eps=None, span=3) -> FormMatrix:
         raise NotFound("alternating matrices of odd size are singular")
     while True:
         f = random_hermitian(ctx, n, rng, eps, span)
-        if f.is_nondegenerate():
+        if f.mat.is_invertible():
             return f
 
 
@@ -106,8 +107,6 @@ def random_opposite_quadruple(space: HyperbolicSpace, rng):
 
 def random_based_triple(space: HyperbolicSpace, rng):
     """A random pairwise opposite triple with random chosen bases."""
-    from .cocycle import BasedTriple
-
     x, y, z = random_opposite_triple(space, rng)
     ctx = space.ctx
     n = space.n

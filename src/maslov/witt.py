@@ -13,8 +13,9 @@ that only ``witt_class`` reduces a form to:
                  Symmetric Bilinear Forms, Ch. IV);
   * Q(sqrt d) -- the rational key of the trace transfer.
 
-Norm classes, and with them the extended square-class group S^, are
-decided the same way by ``_norm_class``, from unmultiplied factors.
+Elements of the extended square-class group S^, norm classes among
+them, are decided the same way by ``_norm_class``, from unmultiplied
+factors.
 
 Hilbert symbols and Hasse invariants serve only the reported ``hasse``
 field, the ``hilbert`` command and the local oracles of the test suite.
@@ -226,20 +227,29 @@ def _norm_class(ctx: FieldCtx, factors):
     return (t, key), k.wrap((lam * t, Fraction(lam)))
 
 
-class NormClassRep:
-    """A class modulo the norm subgroup N = {y^J y}, the S^ counterpart of
-    ``WittClass``: it holds its scalar factors unmultiplied, ``*``
-    concatenates them, and ``_norm_class``, computed once, decides
-    equality, triviality and hashing and gives the representative."""
+class SHatElement:
+    """An element (x N, (-1)^m) of S^ = K^*/N x {+-1}, with the twisted
+    group law
 
-    __slots__ = ("ctx", "factors", "_class_cache")
+        (x, (-1)^m) + (y, (-1)^n) = (x y (-1)^{mn}, (-1)^{m+n}).
 
-    def __init__(self, ctx: FieldCtx, factors):
+    x is held as unmultiplied scalar factors; ``_norm_class``, computed
+    once, decides equality, the identity and hashing and gives the
+    representative.  A class modulo the norm subgroup N = {y^J y} is the
+    element of sign +1.
+    """
+
+    __slots__ = ("ctx", "factors", "sign", "_class_cache")
+
+    def __init__(self, ctx: FieldCtx, factors=(), sign: int = 1):
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValidationError("sign must be +1 or -1")
         factors = tuple(factors)
         if not all(factors):
             raise ZeroScalar("norm class of 0 is undefined")
         self.ctx = ctx
         self.factors = factors
+        self.sign = sign
         self._class_cache = None
 
     def _class(self):
@@ -251,81 +261,40 @@ class NormClassRep:
     def rep(self):
         return self._class()[1]
 
-    def is_trivial(self) -> bool:
-        return self._class()[0] == _norm_class(self.ctx, ())[0]
-
-    def __mul__(self, other):
-        if self.ctx != other.ctx:
-            raise ContextMismatch("norm classes from different fields")
-        return NormClassRep(self.ctx, self.factors + other.factors)
-
-    def __eq__(self, other):
-        if not isinstance(other, NormClassRep) or self.ctx != other.ctx:
-            return NotImplemented
-        return self._class()[0] == other._class()[0]
-
-    def __hash__(self):
-        return hash((self.ctx, self._class()[0]))
-
-    def __repr__(self):
-        return f"NormClass({self.rep!r})"
-
-
-class SHatElement:
-    """Extended square class (s, +-1) with the twisted group law
-
-        (x, (-1)^m) + (y, (-1)^n) = (x y (-1)^{mn}, (-1)^{m+n}).
-    """
-
-    __slots__ = ("ctx", "s", "sign")
-
-    def __init__(self, ctx: FieldCtx, s, sign: int):
-        if sign not in (1, -1):
-            raise ValidationError("sign must be +1 or -1")
-        if not isinstance(s, NormClassRep):
-            s = NormClassRep(ctx, (s,))
-        self.ctx = ctx
-        self.s = s
-        self.sign = sign
-
-    @staticmethod
-    def identity(ctx):
-        return SHatElement(ctx, NormClassRep(ctx, ()), 1)
+    def is_identity(self) -> bool:
+        return self == SHatElement(self.ctx)
 
     def __add__(self, other):
         if self.ctx != other.ctx:
             raise ContextMismatch("S^ elements over different fields")
         twist = (-self.ctx.one(),) if self.sign == other.sign == -1 else ()
-        s = NormClassRep(self.ctx, self.s.factors + other.s.factors + twist)
-        return SHatElement(self.ctx, s, self.sign * other.sign)
+        return SHatElement(self.ctx, self.factors + other.factors + twist,
+                           self.sign * other.sign)
 
     def neg(self):
         one = self.ctx.one()
-        factors = tuple(one / f for f in self.s.factors)
+        factors = tuple(one / f for f in self.factors)
         if self.sign == -1:
             factors += (-one,)
-        return SHatElement(self.ctx, NormClassRep(self.ctx, factors),
-                           self.sign)
+        return SHatElement(self.ctx, factors, self.sign)
 
     def __sub__(self, other):
         return self + other.neg()
 
-    def is_identity(self) -> bool:
-        return self.sign == 1 and self.s.is_trivial()
-
     def __eq__(self, other):
-        if not isinstance(other, SHatElement):
+        if not isinstance(other, SHatElement) or self.ctx != other.ctx:
             return NotImplemented
-        return self.sign == other.sign and self.s == other.s
+        return (self.sign == other.sign
+                and self._class()[0] == other._class()[0])
 
     def __hash__(self):
-        return hash((self.ctx, self.sign, self.s))
+        return hash((self.ctx, self.sign, self._class()[0]))
 
     def to_json(self):
-        return {"s": self.ctx.scalar_to_json(self.s.rep), "sign": self.sign}
+        return {"s": self.ctx.scalar_to_json(self.rep), "sign": self.sign}
 
     def __repr__(self):
-        return f"({self.s.rep!r}, {self.sign:+d})"
+        return f"({self.rep!r}, {self.sign:+d})"
 
 
 def signed_discriminant(ctx: FieldCtx, n: int, factors) -> SHatElement:
@@ -334,7 +303,7 @@ def signed_discriminant(ctx: FieldCtx, n: int, factors) -> SHatElement:
     they stay unmultiplied."""
     if (n * (n - 1) // 2) % 2:
         factors = tuple(factors) + (-ctx.one(),)
-    return SHatElement(ctx, NormClassRep(ctx, factors), (-1) ** n)
+    return SHatElement(ctx, factors, (-1) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +333,13 @@ class WittClass:
     __slots__ = ("ctx", "eps", "diag", "_key_cache")
 
     def __init__(self, ctx: FieldCtx, diag, eps: int = 1):
+        diag = tuple(diag)
+        if not all(diag):
+            raise DegenerateInput("Witt representative has a zero entry")
         if eps == -1 and ctx.has_trivial_involution:
             diag = ()
         self.ctx, self.eps, self._key_cache = ctx, eps, None
         self.diag = tuple(_normalize_entry(ctx, e) for e in diag)
-        if not all(self.diag):
-            raise DegenerateInput("Witt representative has a zero entry")
 
     # -- constructors ----------------------------------------------------
 
@@ -485,7 +455,7 @@ def witt_class(t: FormMatrix) -> WittClass:
     ctx, eps = t.ctx, t.eps
     if eps == -1 and ctx.has_trivial_involution:
         # the skew Witt group is trivial: only nondegeneracy is read
-        diag, degenerate = (), not t.is_nondegenerate()
+        diag, degenerate = (), not t.mat.is_invertible()
     else:
         if eps == -1:
             # u t is hermitian for the trace-zero unit u, as u^J = -u

@@ -332,6 +332,15 @@ def test_parse_error_exit_code():
           '{"matrix":[["1"]]}'), "ValidationError"),
         (("witt", "--field", '{"kind":"Fp","p":5,"epsilon":1.0}',
           "--input", '{"matrix":[["1"]]}'), "ValidationError"),
+        # a float or boolean sign is refused, not formatted or run as +-1
+        (("witt", "--field", '{"kind":"Fp","p":5,"epsilon":true}',
+          "--input", '{"matrix":[["1"]]}'), "ValidationError"),
+        (("witt", "--input", '{"matrix":[["1","2"],["3","4"]],"eps":1.0}'),
+         "ValidationError"),
+        (("witt", "--input", '{"matrix":[["1","2"],["3","4"]],"eps":-1.0}'),
+         "ValidationError"),
+        (("disc", "--input", '{"matrix":[["1"]],"eps":true}'),
+         "ValidationError"),
         (("hilbert", "--input", '{"a":"2","b":"3","place":"x"}'),
          "ParseError"),
         (("boundary-check", "--field", '{"kind":"Fp","p":5}', "--input",

@@ -304,7 +304,7 @@ def test_based_cochain_examples():
     sp = HyperbolicSpace(Q, 1)
     bt = BasedTriple.from_witnesses(sp, [[1]], [[1]], [[1]], [[1]])
     f01 = based_cochain_f(bt.v0, bt.v1)
-    assert f01 == SHatElement(Q, Fraction(-1), -1)
+    assert f01 == SHatElement(Q, (Fraction(-1),), -1)
     # reversal sums to the identity
     f10 = based_cochain_f(bt.v1, bt.v0)
     assert (f01 + f10).is_identity()
@@ -314,7 +314,7 @@ def test_based_cochain_examples():
         sp2, Matrix.identity(Q, 2), Matrix.identity(Q, 2),
         Matrix.identity(Q, 2), diag(Q, [1, 1]))
     f01 = based_cochain_f(bt2.v0, bt2.v1)
-    assert f01 == SHatElement(Q, Fraction(-1), 1)
+    assert f01 == SHatElement(Q, (Fraction(-1),), 1)
 
 
 @pytest.mark.parametrize("ctx,n", [(Q, 1), (Q, 2), (F5, 1), (F5, 2),

@@ -56,6 +56,11 @@ def test_symmetry_validation():
     with pytest.raises(NotHermitian):
         FormMatrix(QI, [[x]], 1)
     FormMatrix(QI, [[QI.zero(), x], [-x, QI.zero()]], 1)
+    # the sign is the int +-1: a float or a bool is refused before the
+    # symmetry test formats it
+    for eps in (0, 1.0, -1.0, True):
+        with pytest.raises(ValidationError):
+            FormMatrix(Q, [[0, 1], [2, 0]], eps)
 
 
 def test_congruence_examples():
