@@ -4,7 +4,6 @@ and Steinberg-symbol comparisons over Q, F_p, F_{p^2} and Q(sqrt(d))."""
 from .fields import FieldCtx, norm_subgroup_class
 from .forms import (
     FormMatrix,
-    congruence,
     diagonalize,
     is_isometric,
     isometry_key,
@@ -15,10 +14,8 @@ from .lagrange import (
     Lagrangian,
     PairFrame,
     UnitaryElement,
-    common_opposite,
     ell_a,
     enumerate_lagrangians,
-    holonomy,
     is_opposite,
     kappa,
     standardize_pair,
@@ -44,7 +41,6 @@ from .symbols import (
     compare_stbg_maslov,
     generic_decompose,
     quaternion_form,
-    stbg,
     steinberg_relations_report,
 )
 from .witt import (

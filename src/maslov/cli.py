@@ -55,10 +55,14 @@ DEFAULT_SEED = 20259
 # the most (q - 1)^3 triples `steinberg-check --exhaustive` sweeps; 30^3
 # lets every sweep up to F_31 run, at under 2 ms a triple
 STEINBERG_LIMIT = 30**3
-# the largest rank the sampled checks take in characteristic 0: over Q
-# one trial at rank 8 passes in under a second, one at ranks 9 to 20 ends
-# in the Pollard rho TooLarge after 3 to 14 s, and rank 40 ran past a
-# minute; over Q(sqrt(-1)) ranks 5 to 19 end in that TooLarge
+# the largest rank the sampled checks take in characteristic 0.  At the
+# default seed one trial over Q passes at rank 8 in under a second, one at
+# ranks 9 to 20 ends in the Pollard rho TooLarge after 3 to 14 s, and rank
+# 40 ran past a minute; over Q(sqrt(-1)) ranks 5 to 19 end in that
+# TooLarge.  Other seeds reach it lower: one trial over Q at rank 6
+# (seed 1) or 7 (seed 2), or over Q(sqrt(-1)) at rank 5 (seed 2), exits 2
+# with TooLarge after about 2 s.  So the cap bounds what a job starts, not
+# whether it finishes
 RANK_LIMIT = 8
 # the same over F_p and F_{p^2}, where entries do not grow: one trial of
 # each sampled command over F_5 and F_9 takes at most 0.71 s at rank 24

@@ -172,27 +172,6 @@ class BasedTriple:
         self._t = self._frame.kappa(v2)
         self.v0, self.v1, self.v2 = v0, v1, v2
 
-    @staticmethod
-    def from_witnesses(space: HyperbolicSpace, a, b, c, t) -> "BasedTriple":
-        """The standard-frame triple with bases [a; 0], [0; b] and
-        [t c; c]; t must be eps-hermitian."""
-        ctx = space.ctx
-        am, bm, cm = (m if isinstance(m, Matrix) else Matrix(ctx, m)
-                      for m in (a, b, c))
-        tm = FormMatrix(ctx, t.mat if isinstance(t, FormMatrix) else t,
-                        ctx.epsilon).mat
-        zero = Matrix.zeros(ctx, space.n, space.n)
-        return BasedTriple(Lagrangian(space, am.vstack(zero)),
-                           Lagrangian(space, zero.vstack(bm)),
-                           Lagrangian(space, (tm * cm).vstack(cm)))
-
-    def witnesses(self):
-        """Base-change witnesses (a, b, c) and the translation block t,
-        read off in the frame standardizing the first two Lagrangians."""
-        frame = self._frame
-        return (frame.top * self.v0.basis, frame.bot * self.v1.basis,
-                frame.bot * self.v2.basis, self._t)
-
 
 def disc_defect(bt: BasedTriple) -> SHatElement:
     """Signed discriminant of the triple invariant t minus the cyclic edge

@@ -33,10 +33,6 @@ class SingularInput(MaslovError):
     pass
 
 
-class SingularTransform(MaslovError):
-    pass
-
-
 class WrongSymmetry(MaslovError):
     pass
 

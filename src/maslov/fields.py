@@ -26,11 +26,16 @@ from .errors import ParseError, TooLarge, ValidationError, ZeroScalar
 INF = "inf"  # the real place, used by Hilbert-symbol code
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all of _MR_BASES (Sorenson and
+# Webster, Math. Comp. 86, 2017): below it those bases decide primality
+_MR_EXACT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
+    """Miller-Rabin to the prime bases up to 41, exact for n < psi_13
+    (about 3.3e24); from psi_13 on a strong Lucas test is added, making it
+    the Baillie-PSW test, which has no known pseudoprime."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -51,7 +56,61 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd positive n."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1
+    and Q = (1 - D)/4.  With n + 1 = k 2^s, k odd, n passes when U_k = 0
+    or V_(k 2^r) = 0 for some r < s, all mod n."""
+    if math.isqrt(n) ** 2 == n:
+        return False                # no D has (D/n) = -1
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return False
+        d = -d - 2 if d > 0 else 2 - d
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k, s = k // 2, s + 1
+
+    def half(x):
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    # U_m, V_m and Q^m from m = 1 along the bits of k: m -> 2m by
+    # U_2m = U_m V_m, V_2m = V_m^2 - 2 Q^m, and m -> m + 1 by
+    # U_(m+1) = (U_m + V_m)/2, V_(m+1) = (D U_m + V_m)/2
+    u, v, qm = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qm = u * v % n, (v * v - 2 * qm) % n, qm * qm % n
+        if bit == "1":
+            u, v, qm = half(u + v), half(d * u + v), qm * q % n
+    if u == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qm = (v * v - 2 * qm) % n, qm * qm % n
+    return False
 
 
 def factorize(n: int) -> dict:

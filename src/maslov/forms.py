@@ -15,7 +15,6 @@ from .errors import (
     DegenerateInput,
     DimensionMismatch,
     NotHermitian,
-    SingularTransform,
     ValidationError,
     WrongSymmetry,
 )
@@ -72,15 +71,6 @@ class FormMatrix:
 
     def __repr__(self):
         return f"FormMatrix(eps={self.eps:+d}, {self.mat!r})"
-
-
-def congruence(t: FormMatrix, g: Matrix) -> FormMatrix:
-    """The congruent form g^J t g; preserves the hermitian symmetry."""
-    if g.m != t.dim or g.n != t.dim:
-        raise DimensionMismatch("transform size does not match the form")
-    if not g.is_invertible():
-        raise SingularTransform("congruence transform must be invertible")
-    return FormMatrix._of(t.ctx, g.jt() * t.mat * g, t.eps)
 
 
 class Diagonalization(NamedTuple):

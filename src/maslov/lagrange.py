@@ -16,7 +16,6 @@ import itertools
 
 from .errors import (
     DimensionMismatch,
-    NotFound,
     NotHermitian,
     NotPairwiseOpposite,
     SingularInput,
@@ -28,8 +27,8 @@ from .fields import FieldCtx
 from .forms import FormMatrix
 from .linalg import Matrix
 
-# the candidates common_opposite samples before it gives up
-OPPOSITE_TRIES = 4000
+# the most subspaces enumerate_lagrangians counts before it refuses
+LAGRANGIAN_LIMIT = 500000
 
 
 class HyperbolicSpace:
@@ -261,13 +260,13 @@ def _hermitian_additive_basis(ctx, n):
             if not m.is_zero()]
 
 
-def enumerate_lagrangians(space: HyperbolicSpace, limit: int = 500000):
+def enumerate_lagrangians(space: HyperbolicSpace):
     """Complete duplicate-free list of the Lagrangians of a finite module,
     sorted by pivot rows and then entries of their canonical bases.
 
     Each is opposite a coordinate Lagrangian w_S X (Arnold's lemma), so it
     is w_S [t; 1] for a set S of coordinates and an eps-hermitian t."""
-    ctx, n = space.ctx, space.n
+    ctx, n, limit = space.ctx, space.n, LAGRANGIAN_LIMIT
     if not ctx.is_finite:
         raise TooLarge("Lagrangian enumeration needs a finite field")
     # there are at least q^(n^2) > 2^(n^2) subspaces: refuse a rank whose
@@ -288,46 +287,6 @@ def enumerate_lagrangians(space: HyperbolicSpace, limit: int = 500000):
     return [Lagrangian._of(space, c) for c in sorted(found, key=lambda c: (
         [col.index(ctx.kernel.one) for col in zip(*c.raw)],
         c.transpose().raw))]
-
-
-def common_opposite(lags, rng=None) -> Lagrangian:
-    """A Lagrangian opposite to every member of the finite collection.
-
-    Over a small finite field the scan is exhaustive; large finite fields
-    and infinite fields sample candidates spanning [t; 1] for
-    eps-hermitian t (over Q from a growing integer range), which halts
-    with probability 1 whenever a graph-type common opposite exists.
-    """
-    if not lags:
-        raise ValidationError("need at least one Lagrangian")
-    space = _check_space(*lags)
-    ctx = space.ctx
-    if ctx.is_finite:
-        try:
-            candidates = enumerate_lagrangians(space, limit=20000)
-        except TooLarge:
-            candidates = None
-        if candidates is not None:
-            for cand in candidates:
-                if all(is_opposite(cand, lx) for lx in lags):
-                    return cand
-            raise NotFound("no common opposite exists")
-    import random as _random
-
-    rng = rng if rng is not None else _random.Random(7)
-    n = space.n
-    eye = Matrix.identity(ctx, n)
-    span = 1
-    for trial in range(OPPOSITE_TRIES):
-        if trial and trial % 200 == 0:
-            span += 1
-        raw = Matrix(ctx, [[ctx.random_element(rng, span) for _ in range(n)]
-                           for _ in range(n)])
-        t = raw + raw.jt().scale(ctx.from_int(ctx.epsilon))
-        cand = Lagrangian._of(space, t.vstack(eye))
-        if all(is_opposite(cand, lx) for lx in lags):
-            return cand
-    raise NotFound("sampling failed to find a common opposite")
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +349,3 @@ def kappa(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> FormMatrix:
     class is independent of all basis choices.
     """
     return PairFrame(x, y).kappa(z)
-
-
-def holonomy(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> Matrix:
-    """Matrix of the closed length-3 path around the triple, written in the
-    graded frame of the pair (x, y): [[0, -t^{-1}], [t, 0]].  The reversed
-    path is its negative, which is also its inverse."""
-    t = kappa(x, y, z).mat
-    ctx = x.space.ctx
-    n = x.space.n
-    zero = Matrix.zeros(ctx, n, n)
-    return Matrix.block2(zero, -t.inverse(), t, zero)

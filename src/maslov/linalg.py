@@ -238,16 +238,3 @@ class Matrix:
         """Canonical basis of the column space (reduced column echelon)."""
         red, pivots = self.transpose().rref()
         return red.row_block(0, len(pivots)).transpose()
-
-    def kernel(self):
-        """Basis of the right kernel, as a list of column vectors."""
-        red, pivots = self.rref()
-        free = [j for j in range(self.n) if j not in pivots]
-        basis = []
-        for f in free:
-            v = [self.ctx.zero()] * self.n
-            v[f] = self.ctx.one()
-            for r, c in enumerate(pivots):
-                v[c] = -red[r, f]
-            basis.append(v)
-        return basis

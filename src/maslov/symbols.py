@@ -167,13 +167,9 @@ def generic_decompose(g: Matrix) -> Sl2Factorization:
     return fac
 
 
-def stbg(g1: Matrix, g2: Matrix) -> SymbolSum:
+def _stbg_sum(ctx, r1, r2, t) -> SymbolSum:
     """The generic-normal-form value of the universal two-cocycle:
     {t/(r1 r2), -r1/r2} - {-r1, -r2} with t = t1 + s2 nonzero."""
-    return _stbg_sum(g1.ctx, *stbg_parameters(g1, g2))
-
-
-def _stbg_sum(ctx, r1, r2, t) -> SymbolSum:
     return (SymbolSum.symbol(ctx, t / (r1 * r2), -(r1 / r2))
             - SymbolSum.symbol(ctx, -r1, -r2))
 

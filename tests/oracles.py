@@ -7,25 +7,34 @@
 * Scalar arithmetic written as plain formulas: ints mod p, int pairs mod p
   with w^2 = nu, and Fraction pairs with w^2 = d.  They share no code with
   the field kernels they check.
-* The matrix product on raw values, one oracle operation per term.
-* Form constructors: diagonal forms from rationals and direct sums.
+* The matrix product on raw values, one oracle operation per term, and
+  the right kernel read off the reduced echelon form.
+* Form constructors: diagonal forms from rationals, direct sums and
+  congruent forms.
 * Congruence diagonalization on scalars, and the signature counted from
   it.
-* The Lagrangians of a finite module, found among all its subspaces.
+* The Lagrangians of a finite module, found among all its subspaces;
+  common opposites; the holonomy matrix of a triple.
 * The orbit census over every ordered pairwise opposite triple.
-* The based edge cochain read in the frame of the pair.
+* Based triples built from and read back as their witnesses, and the
+  based edge cochain read in the frame of the pair.
 * Block sums of Lagrangians and extension of scalars, for the stability
   and naturality laws of the cocycle.
-* The factors u_t, b_r and a_r of the SL_2 decomposition, and the symbol
-  comparison's reduced route built through the checked constructors.
+* The factors u_t, b_r and a_r of the SL_2 decomposition, the generic
+  two-cocycle as a symbol sum, and the symbol comparison's reduced route
+  built through the checked constructors.
 """
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 from maslov.cocycle import BasedTriple, CensusResult, reduced_maslov
 from maslov.errors import (
+    DimensionMismatch,
+    NotFound,
+    SingularInput,
     TooLarge,
     ValidationError,
     WrongSymmetry,
@@ -43,13 +52,17 @@ from maslov.lagrange import (
     Lagrangian,
     PairFrame,
     UnitaryElement,
+    _check_space,
     _hermitian_additive_basis,
     ell_a,
+    enumerate_lagrangians,
     is_opposite,
+    kappa,
     u_t,
     w_element,
 )
 from maslov.linalg import Matrix
+from maslov.symbols import SymbolSum, _stbg_sum, stbg_parameters
 from maslov.witt import WittClass, _val_unit, hilbert_symbol
 
 
@@ -209,6 +222,21 @@ def termwise_product(a, b, add, mul, zero):
                        for c in zip(*b)) for r in a)
 
 
+def kernel_basis(m: Matrix):
+    """Basis of the right kernel of m, as a list of column vectors: one
+    per free column of the reduced row echelon form."""
+    red, pivots = m.rref()
+    ctx = m.ctx
+    basis = []
+    for f in (j for j in range(m.n) if j not in pivots):
+        v = [ctx.zero()] * m.n
+        v[f] = ctx.one()
+        for r, c in enumerate(pivots):
+            v[c] = -red[r, f]
+        basis.append(v)
+    return basis
+
+
 # ---------------------------------------------------------------------------
 # Form constructors
 
@@ -226,6 +254,15 @@ def direct_sum(f, g):
     z1 = Matrix.zeros(f.ctx, f.dim, g.dim)
     z2 = Matrix.zeros(f.ctx, g.dim, f.dim)
     return FormMatrix(f.ctx, Matrix.block2(f.mat, z1, z2, g.mat), f.eps)
+
+
+def congruence(t: FormMatrix, g: Matrix) -> FormMatrix:
+    """The congruent form g^J t g; preserves the hermitian symmetry."""
+    if g.m != t.dim or g.n != t.dim:
+        raise DimensionMismatch("transform size does not match the form")
+    if not g.is_invertible():
+        raise SingularInput("congruence transform must be invertible")
+    return FormMatrix._of(t.ctx, g.jt() * t.mat * g, t.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +399,57 @@ def subspace_lagrangians(space: HyperbolicSpace):
     return out
 
 
+# the candidates common_opposite samples before it gives up
+OPPOSITE_TRIES = 4000
+
+
+def common_opposite(lags, rng=None) -> Lagrangian:
+    """A Lagrangian opposite to every member of the finite collection.
+
+    Where ``enumerate_lagrangians`` takes the module the scan is
+    exhaustive; larger finite fields and infinite fields sample
+    candidates spanning [t; 1] for eps-hermitian t (over Q from a growing
+    integer range), which halts with probability 1 whenever a graph-type
+    common opposite exists.
+    """
+    if not lags:
+        raise ValidationError("need at least one Lagrangian")
+    space = _check_space(*lags)
+    try:
+        candidates = enumerate_lagrangians(space)
+    except TooLarge:
+        pass
+    else:
+        for cand in candidates:
+            if all(is_opposite(cand, lx) for lx in lags):
+                return cand
+        raise NotFound("no common opposite exists")
+    rng = rng if rng is not None else random.Random(7)
+    ctx, n = space.ctx, space.n
+    eye = Matrix.identity(ctx, n)
+    span = 1
+    for trial in range(OPPOSITE_TRIES):
+        if trial and trial % 200 == 0:
+            span += 1
+        raw = Matrix(ctx, [[ctx.random_element(rng, span) for _ in range(n)]
+                           for _ in range(n)])
+        t = raw + raw.jt().scale(ctx.from_int(ctx.epsilon))
+        cand = Lagrangian._of(space, t.vstack(eye))
+        if all(is_opposite(cand, lx) for lx in lags):
+            return cand
+    raise NotFound("sampling failed to find a common opposite")
+
+
+def holonomy(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> Matrix:
+    """Matrix of the closed length-3 path around the triple, written in the
+    graded frame of the pair (x, y): [[0, -t^{-1}], [t, 0]].  The reversed
+    path is its negative, which is also its inverse."""
+    t = kappa(x, y, z).mat
+    n = x.space.n
+    zero = Matrix.zeros(x.space.ctx, n, n)
+    return Matrix.block2(zero, -t.inverse(), t, zero)
+
+
 # ---------------------------------------------------------------------------
 # The full-triple orbit census
 
@@ -458,7 +546,32 @@ def triple_census(space: HyperbolicSpace, limit: int = 200000) -> CensusResult:
 
 
 # ---------------------------------------------------------------------------
-# The based edge cochain in the frame of the pair
+# Based triples by their witnesses, and the edge cochain in the frame of
+# the pair
+
+
+def based_triple_from_witnesses(space: HyperbolicSpace, a, b, c,
+                                t) -> BasedTriple:
+    """The standard-frame triple with bases [a; 0], [0; b] and [t c; c],
+    built through the checked constructors; t must be eps-hermitian."""
+    ctx = space.ctx
+    am, bm, cm = (m if isinstance(m, Matrix) else Matrix(ctx, m)
+                  for m in (a, b, c))
+    tm = FormMatrix(ctx, t.mat if isinstance(t, FormMatrix) else t,
+                    ctx.epsilon).mat
+    zero = Matrix.zeros(ctx, space.n, space.n)
+    return BasedTriple(Lagrangian(space, am.vstack(zero)),
+                       Lagrangian(space, zero.vstack(bm)),
+                       Lagrangian(space, (tm * cm).vstack(cm)))
+
+
+def witnesses(bt: BasedTriple):
+    """Base-change witnesses (a, b, c) and the translation block t of a
+    based triple, read off in the frame of its first two Lagrangians that
+    the triple keeps."""
+    frame = bt._frame
+    return (frame.top * bt.v0.basis, frame.bot * bt.v1.basis,
+            frame.bot * bt.v2.basis, bt._t)
 
 
 def frame_edge_det(v: Lagrangian, w: Lagrangian):
@@ -531,11 +644,17 @@ def _a(ctx, r):
     return Matrix(ctx, [[r, ctx.zero()], [ctx.zero(), ctx.one() / r]])
 
 
+def stbg(g1: Matrix, g2: Matrix) -> SymbolSum:
+    """The generic-normal-form value of the universal two-cocycle, by the
+    formula ``compare_stbg_maslov`` reduces."""
+    return _stbg_sum(g1.ctx, *stbg_parameters(g1, g2))
+
+
 def checked_reduced_route(ctx, r1, r2, t) -> WittClass:
     """``symbols.reduced_route`` with its based triple built by the checked
-    ``BasedTriple.from_witnesses``: witnesses 1, r1^{-1} and -r2^{-1}."""
+    ``based_triple_from_witnesses``: witnesses 1, r1^{-1} and -r2^{-1}."""
     one = ctx.one()
-    bt = BasedTriple.from_witnesses(
+    bt = based_triple_from_witnesses(
         HyperbolicSpace(ctx, 1),
         Matrix(ctx, [[one]]),
         Matrix(ctx, [[one / r1]]),

@@ -37,7 +37,6 @@ from maslov.sampling import (
 from maslov.symbols import (
     R_map,
     quaternion_form,
-    stbg,
     steinberg_relations_report,
 )
 from maslov.witt import witt_class

@@ -302,9 +302,11 @@ def test_unbounded_work_exits_2_with_too_large():
 
 
 def test_sampled_checks_run_up_to_the_rank_limit(capsys):
-    # one trial at each cap runs (under a second each); one rank more is
-    # refused before any sampling.  Q(sqrt d) has the cap of Q, F_{p^2}
-    # the cap of F_p.
+    # at the default seed one trial at each cap runs (under a second
+    # each); one rank more is refused before any sampling.  Other seeds
+    # can end below the cap in the Pollard rho TooLarge (over Q at rank 6,
+    # seed 1), which this does not cover.  Q(sqrt d) has the cap of Q,
+    # F_{p^2} the cap of F_p.
     assert (cli.RANK_LIMIT, cli.FINITE_RANK_LIMIT) == (8, 24)
     q, qi = '{"kind":"Q"}', '{"kind":"QSqrt","d":-1}'
     f5, f9 = '{"kind":"Fp","p":5}', '{"kind":"Fp2","p":3}'
@@ -574,3 +576,21 @@ def test_witt_of_a_huge_entry_is_refused_at_once(capsys):
         assert time.monotonic() - started < 2
         assert (code, error) == (2, "TooLarge")
         assert "-bit cofactor takes over" in message
+
+
+def test_a_strong_pseudoprime_is_neither_a_field_nor_a_place(capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every
+    # prime base up to 37: as a field order it is refused, and as a witt
+    # entry it has the Hasse places of its two factors
+    psi12 = "318665857834031151167461"
+    code = cli.run([
+        "maslov", "--field", '{"kind":"Fp","p":%s}' % psi12, "--input",
+        '{"n":1,"X":[["1"],["0"]],"Y":[["0"],["1"]],'
+        '"Z":[["1"],["399165290221"]]}'])
+    assert (code, json.loads(capsys.readouterr().out)["error"]) == (
+        2, "ValidationError")
+    assert cli.run(["witt", "--input",
+                    json.dumps({"matrix": [[psi12]]})]) == 0
+    hasse = json.loads(capsys.readouterr().out)["outputs"]["witt"]["hasse"]
+    assert [place["p"] for place in hasse] == [
+        "2", "399165290221", "798330580441", "inf"]

@@ -58,6 +58,7 @@ from maslov.sampling import (
 from maslov.symbols import compare_stbg_maslov
 from maslov.witt import SHatElement, witt_class
 from oracles import (
+    based_triple_from_witnesses,
     block_sum,
     diagonal_rational,
     direct_sum,
@@ -65,6 +66,7 @@ from oracles import (
     extend_witt_class,
     frame_edge_det,
     triple_census,
+    witnesses,
 )
 
 Q = FieldCtx("Q")
@@ -302,7 +304,7 @@ def test_tau_unitary_context_generic_only():
 
 def test_based_cochain_examples():
     sp = HyperbolicSpace(Q, 1)
-    bt = BasedTriple.from_witnesses(sp, [[1]], [[1]], [[1]], [[1]])
+    bt = based_triple_from_witnesses(sp, [[1]], [[1]], [[1]], [[1]])
     f01 = based_cochain_f(bt.v0, bt.v1)
     assert f01 == SHatElement(Q, (Fraction(-1),), -1)
     # reversal sums to the identity
@@ -310,7 +312,7 @@ def test_based_cochain_examples():
     assert (f01 + f10).is_identity()
 
     sp2 = HyperbolicSpace(Q, 2)
-    bt2 = BasedTriple.from_witnesses(
+    bt2 = based_triple_from_witnesses(
         sp2, Matrix.identity(Q, 2), Matrix.identity(Q, 2),
         Matrix.identity(Q, 2), diag(Q, [1, 1]))
     f01 = based_cochain_f(bt2.v0, bt2.v1)
@@ -330,7 +332,7 @@ def test_based_cochain_alternating(ctx, n):
 
 def test_disc_defect_standard():
     sp = HyperbolicSpace(Q, 1)
-    bt = BasedTriple.from_witnesses(sp, [[1]], [[1]], [[1]], [[1]])
+    bt = based_triple_from_witnesses(sp, [[1]], [[1]], [[1]], [[1]])
     assert disc_defect(bt).is_identity()
 
 
@@ -340,8 +342,8 @@ def test_based_triple_witness_round_trip():
     bm = Matrix(Q, [[3, 0], [1, 1]])
     cm = Matrix(Q, [[1, 0], [4, 1]])
     tm = diag(Q, [2, -1])
-    bt = BasedTriple.from_witnesses(sp, am, bm, cm, tm)
-    a, b, c, t = bt.witnesses()
+    bt = based_triple_from_witnesses(sp, am, bm, cm, tm)
+    a, b, c, t = witnesses(bt)
     assert (a, b, c) == (am, bm, cm)
     assert t.mat == tm.mat
     # all witnesses are invertible by construction
@@ -354,11 +356,11 @@ def test_from_witnesses_rejects_a_non_hermitian_block():
     sp = HyperbolicSpace(Q, 2)
     eye = Matrix.identity(Q, 2)
     with pytest.raises(NotHermitian, match="^matrix is not \\+1-hermitian$"):
-        BasedTriple.from_witnesses(sp, eye, eye, eye, [[1, 2], [3, 1]])
+        based_triple_from_witnesses(sp, eye, eye, eye, [[1, 2], [3, 1]])
     skew = FieldCtx("Q", epsilon=-1)
     with pytest.raises(NotHermitian, match="^matrix is not -1-hermitian$"):
-        BasedTriple.from_witnesses(HyperbolicSpace(skew, 1), [[1]], [[1]],
-                                   [[1]], [[1]])
+        based_triple_from_witnesses(HyperbolicSpace(skew, 1), [[1]], [[1]],
+                                    [[1]], [[1]])
 
 
 EDGE_CONTEXTS = [(c, n) for c in (Q, F5, F9, QI, FieldCtx("QSqrt", d=2))
@@ -392,7 +394,7 @@ def test_based_triple_builds_its_frame_once(monkeypatch):
         built.clear()
         assert disc_defect(bt).is_identity()
         based_cochain_f(bt.v2, bt.v0)
-        bt.witnesses()
+        witnesses(bt)
         if ctx.has_trivial_involution and ctx.epsilon == 1:
             assert reduced_maslov(bt).in_II()
         assert built == []
@@ -417,19 +419,19 @@ def test_from_witnesses_refusals():
     eye = Matrix.identity(Q, 2)
     singular = Matrix(Q, [[1, 2], [2, 4]])
     for k in range(3):
-        witnesses = [eye, eye, eye, eye]
-        witnesses[k] = singular
+        blocks = [eye, eye, eye, eye]
+        blocks[k] = singular
         with pytest.raises(ValidationError,
                            match="^basis does not have full column rank$"):
-            BasedTriple.from_witnesses(sp, *witnesses)
+            based_triple_from_witnesses(sp, *blocks)
     with pytest.raises(NotPairwiseOpposite,
                        match="^third Lagrangian is not opposite the second$"):
-        BasedTriple.from_witnesses(sp, eye, eye, eye, [[1, 1], [1, 1]])
+        based_triple_from_witnesses(sp, eye, eye, eye, [[1, 1], [1, 1]])
     for k in range(4):
-        witnesses = [eye, eye, eye, eye]
-        witnesses[k] = [[1]]
+        blocks = [eye, eye, eye, eye]
+        blocks[k] = [[1]]
         with pytest.raises(DimensionMismatch):
-            BasedTriple.from_witnesses(sp, *witnesses)
+            based_triple_from_witnesses(sp, *blocks)
 
 
 @pytest.mark.parametrize("ctx,n", [
@@ -447,12 +449,12 @@ def test_disc_defect_random(ctx, n):
 
 def test_reduced_maslov_standard_instances():
     sp = HyperbolicSpace(Q, 1)
-    bt = BasedTriple.from_witnesses(sp, [[1]], [[1]], [[1]], [[1]])
+    bt = based_triple_from_witnesses(sp, [[1]], [[1]], [[1]], [[1]])
     val = reduced_maslov(bt)
     assert val.in_II()
     assert val.signature() % 4 == 0
 
-    btm = BasedTriple.from_witnesses(sp, [[1]], [[1]], [[1]], [[-1]])
+    btm = based_triple_from_witnesses(sp, [[1]], [[1]], [[1]], [[-1]])
     valm = reduced_maslov(btm)
     assert valm.in_II()
     assert valm.signature() % 4 == 0
@@ -460,7 +462,7 @@ def test_reduced_maslov_standard_instances():
 
 def test_reduced_maslov_requires_symplectic():
     sp = HyperbolicSpace(QI, 1)
-    bt = BasedTriple.from_witnesses(sp, [[1]], [[1]], [[1]], [[1]])
+    bt = based_triple_from_witnesses(sp, [[1]], [[1]], [[1]], [[1]])
     with pytest.raises(WrongContext):
         reduced_maslov(bt)
 

@@ -1,5 +1,6 @@
 """Scalar arithmetic, involutions, and norm-subgroup classes."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -11,6 +12,7 @@ from maslov.errors import TooLarge, ValidationError, ZeroScalar
 from maslov.fields import (
     FieldCtx,
     factorize,
+    is_prime,
     norm_subgroup_class,
     squarefree_part,
 )
@@ -148,6 +150,54 @@ def test_factorize_matches_trial_division():
     for n in cases:
         want = trial_factorize(n)
         assert factorize(n) == want == factorize(-n), n
+
+
+# psi_12 and psi_13, the least strong pseudoprimes to every prime base up
+# to 37 and up to 41 (Sorenson and Webster, Math. Comp. 86, 2017)
+PSI12 = 399165290221 * 798330580441
+PSI13 = 1287836182261 * 2575672364521
+# the strong Lucas pseudoprimes with Selfridge's parameters below 2 * 10^5
+# (OEIS A217255)
+LUCAS_PSEUDOPRIMES = [
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+    75077, 97439, 100127, 113573, 115639, 130139, 155819, 158399, 161027,
+    162133, 176399, 176471, 189419, 192509, 197801]
+
+
+def sieve(n):
+    """is_p[k] for k < n, by the sieve of Eratosthenes."""
+    is_p = bytearray([1]) * n
+    is_p[:2] = b"\0\0"
+    for k in range(2, math.isqrt(n - 1) + 1):
+        if is_p[k]:
+            is_p[k * k::k] = bytes(len(range(k * k, n, k)))
+    return is_p
+
+
+def test_is_prime_agrees_with_a_sieve():
+    is_p = sieve(200000)
+    assert [n for n in range(200000) if is_prime(n)] == [
+        n for n in range(200000) if is_p[n]]
+
+
+def test_is_prime_refuses_strong_pseudoprimes():
+    # psi_12 passes the bases up to 37 and needs base 41; psi_13 passes all
+    # thirteen bases and needs the strong Lucas step
+    for n in [PSI12, PSI13, 561, 41041, 825265] + LUCAS_PSEUDOPRIMES:
+        assert not is_prime(n), n
+    for e in (89, 127, 521):
+        assert is_prime(2**e - 1), e
+    assert factorize(PSI12) == {399165290221: 1, 798330580441: 1}
+    with pytest.raises(ValidationError):
+        FieldCtx("Fp", p=PSI12)
+
+
+def test_strong_lucas_step_passes_primes_and_its_pseudoprimes():
+    # on odd n from 43 to 2 * 10^5 the Lucas step alone is wrong exactly on
+    # the composites of A217255, which the Miller-Rabin bases refuse
+    is_p = sieve(200000)
+    assert [n for n in range(43, 200000, 2)
+            if fields._strong_lucas(n) != is_p[n]] == LUCAS_PSEUDOPRIMES
 
 
 def test_norm_class_examples():

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from maslov import lagrange
 from maslov.errors import (
     NotFound,
     NotHermitian,
@@ -14,16 +15,14 @@ from maslov.errors import (
     ValidationError,
 )
 from maslov.fields import FieldCtx
-from maslov.forms import FormMatrix, congruence, is_isometric, radical_split
+from maslov.forms import FormMatrix, is_isometric, radical_split
 from maslov.lagrange import (
     HyperbolicSpace,
     Lagrangian,
     PairFrame,
     UnitaryElement,
-    common_opposite,
     ell_a,
     enumerate_lagrangians,
-    holonomy,
     is_opposite,
     kappa,
     standardize_pair,
@@ -41,7 +40,13 @@ from maslov.sampling import (
     random_unitary,
     rng_for,
 )
-from oracles import diagonal_rational, subspace_lagrangians
+from oracles import (
+    common_opposite,
+    congruence,
+    diagonal_rational,
+    holonomy,
+    subspace_lagrangians,
+)
 
 Q = FieldCtx("Q")
 F3 = FieldCtx("Fp", p=3)
@@ -189,17 +194,20 @@ def test_enumeration_infinite_field_rejected():
         enumerate_lagrangians(HyperbolicSpace(Q, 1))
 
 
-def test_enumeration_bounds_the_count_before_computing_it():
+def test_enumeration_bounds_the_count_before_computing_it(monkeypatch):
     # there are over 2^(n^2) subspaces, so a rank with n^2 at least the
     # bit length of the limit is refused from that bound alone; below it
     # the exact count is reported.  The Gram matrix of a module is built
     # only when needed, so a huge rank is refused at once.
     sp = HyperbolicSpace(F3, 2)
+    monkeypatch.setattr(lagrange, "LAGRANGIAN_LIMIT", 15)
     with pytest.raises(TooLarge,
                        match="^over 2\\^4 subspaces exceed the limit 15$"):
-        enumerate_lagrangians(sp, limit=15)
+        enumerate_lagrangians(sp)
+    monkeypatch.setattr(lagrange, "LAGRANGIAN_LIMIT", 16)
     with pytest.raises(TooLarge, match="^130 subspaces exceed the limit 16$"):
-        enumerate_lagrangians(sp, limit=16)
+        enumerate_lagrangians(sp)
+    monkeypatch.undo()
     with pytest.raises(TooLarge, match="^over 2\\^1(0)+ subspaces exceed"):
         enumerate_lagrangians(HyperbolicSpace(F3, 10**30))
 

@@ -18,7 +18,6 @@ from maslov.symbols import (
     generic_decompose,
     quaternion_form,
     reduced_route,
-    stbg,
     stbg_parameters,
     steinberg_relations_report,
 )
@@ -36,6 +35,7 @@ from oracles import (
     diagonal_rational,
     local_witt_is_zero,
     signature_count,
+    stbg,
 )
 
 Q = FieldCtx("Q")
@@ -308,7 +308,7 @@ def test_symbol_sums_keep_negative_multiplicities():
 
 
 def test_reduced_route_matches_the_checked_construction():
-    # the trusted based triple against BasedTriple.from_witnesses, and both
+    # the trusted based triple against based_triple_from_witnesses, and both
     # against the closed form -[<t, r1 r2 t, r1, r2>], on every triple of
     # units over F_5 and F_7 and on 200 seeded rational triples
     import random
