@@ -35,6 +35,7 @@ from .lagrange import (
 )
 from .linalg import Matrix
 from .cocycle import (
+    _require_symplectic,
     boundary_defect,
     disc_defect,
     kashiwara_class,
@@ -233,8 +234,7 @@ def _det_one_matrices(ctx, rng):
         d = m.det()
         if not d:
             continue
-        scaled = Matrix(ctx, [[v / d for v in m.rows[0]], list(m.rows[1])])
-        return scaled
+        return Matrix(ctx, [[v / d for v in rows[0]], rows[1]])
 
 
 def cmd_steinberg_check(ctx, inputs, args):
@@ -269,6 +269,7 @@ def cmd_compare(ctx, inputs, args):
         ok = compare_stbg_maslov(g1, g2)
         return {"match": ok}, [{"name": "stbg-vs-reduced", "pass": ok,
                                 "detail": "single pair"}]
+    _require_symplectic(ctx)
     good = 0
     for i in range(args.trials):
         rng = rng_for(args.seed, i)

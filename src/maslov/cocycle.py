@@ -63,7 +63,7 @@ def relation_check(r: FormMatrix, s: FormMatrix, t: FormMatrix) -> WittClass:
     for f in (r, s, t):
         if not f.mat.is_invertible():
             raise ConstraintViolated("all three forms must be invertible")
-    fourth = FormMatrix(
+    fourth = FormMatrix._of(
         r.ctx, -(r.mat.inverse().jt() + s.mat.inverse().jt()), r.eps)
     return (witt_class(r) + witt_class(s) + witt_class(t)
             + witt_class(fourth))
@@ -96,7 +96,7 @@ def kashiwara_form(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> FormMatrix:
     top = zero.hstack(sxy).hstack(szx.transpose())
     mid = sxy.transpose().hstack(zero).hstack(syz)
     bot = szx.hstack(syz.transpose()).hstack(zero)
-    return FormMatrix(ctx, top.vstack(mid).vstack(bot), 1)
+    return FormMatrix._of(ctx, top.vstack(mid).vstack(bot), 1)
 
 
 def kashiwara_class(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> WittClass:

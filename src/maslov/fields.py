@@ -236,6 +236,12 @@ def squarefree_part(q) -> int:
     return sign * math.prod(odd)
 
 
+def check_sign(s, name: str) -> None:
+    """Refuse the sign s, called name, unless it is the int +1 or -1."""
+    if type(s) is not int or s not in (1, -1):
+        raise ValidationError(f"{name} must be +1 or -1")
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p and a prime to p."""
     a %= p
@@ -520,8 +526,7 @@ class FieldCtx:
 
     def __init__(self, kind: str, p: int | None = None, d: int | None = None,
                  epsilon: int = 1):
-        if type(epsilon) is not int or epsilon not in (1, -1):
-            raise ValidationError("epsilon must be +1 or -1")
+        check_sign(epsilon, "epsilon")
         if not all(v is None or isinstance(v, int) for v in (p, d)):
             raise ValidationError("p and d must be integers")
         self.kind = kind
@@ -607,17 +612,6 @@ class FieldCtx:
     def involution(self, x):
         k = self.kernel
         return k.wrap(k.conj(k.unwrap(x)))
-
-    def fixed_rational(self, x) -> Fraction:
-        """The J-fixed scalar x as an exact rational (Fp maps to a lift)."""
-        if self.kind == "Q":
-            return Fraction(x)
-        if self.kind == "QSqrt":
-            a, b = self.kernel.unwrap(x)
-            if b != 0:
-                raise ValidationError("scalar is not in the fixed field")
-            return a
-        raise ValidationError("no canonical rational lift for finite fields")
 
     def elements(self):
         if not self.is_finite:

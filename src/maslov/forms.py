@@ -18,9 +18,10 @@ from .errors import (
     ValidationError,
     WrongSymmetry,
 )
+from .fields import FieldCtx, check_sign
 # legendre stays importable from here: bench/test_bench.py checks that the
 # span tracer patches every module that imported it
-from .fields import FieldCtx, legendre  # noqa: F401
+from .fields import legendre  # noqa: F401
 from .linalg import Matrix
 
 
@@ -33,8 +34,7 @@ class FormMatrix:
         m = mat if isinstance(mat, Matrix) else Matrix(ctx, mat)
         if m.m != m.n:
             raise DimensionMismatch("form matrix must be square")
-        if type(eps) is not int or eps not in (1, -1):
-            raise ValidationError("eps must be +1 or -1")
+        check_sign(eps, "eps")
         herm = m.jt()
         if (herm if eps == 1 else -herm) != m:
             raise NotHermitian(f"matrix is not {eps:+d}-hermitian")

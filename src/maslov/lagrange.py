@@ -37,6 +37,8 @@ class HyperbolicSpace:
     __slots__ = ("ctx", "n", "_gram")
 
     def __init__(self, ctx: FieldCtx, n: int):
+        if type(n) is not int:
+            raise ValidationError("rank must be an integer")
         if n < 1:
             raise ValidationError("rank must be positive")
         self.ctx = ctx
@@ -153,9 +155,6 @@ class UnitaryElement:
                 raise SpaceMismatch("composition across spaces")
             return UnitaryElement._of(self.space, self.mat * other.mat)
         return NotImplemented
-
-    def inverse(self):
-        return UnitaryElement._of(self.space, self.mat.inverse())
 
     def __call__(self, x):
         if isinstance(x, Lagrangian):

@@ -4,7 +4,7 @@ Everything is immutable; all eliminations use exact field division, so
 ranks, kernels and inverses are never approximate.  A matrix holds the
 raw values of its context's arithmetic kernel (``FieldCtx.kernel``) and
 computes on them; scalars appear only at the boundary (``Matrix(ctx,
-rows)``, ``rows``, indexing and ``det``).
+rows)``, ``rows`` and ``det``).
 """
 
 from __future__ import annotations
@@ -42,13 +42,13 @@ def _gauss_jordan(k, a):
 
 
 class Matrix:
-    __slots__ = ("ctx", "raw", "m", "n", "_rows", "_det")
+    __slots__ = ("ctx", "raw", "m", "n", "_det")
 
     def __init__(self, ctx: FieldCtx, rows):
         raw = tuple(tuple(map(ctx.kernel.unwrap, r)) for r in rows)
         if raw and any(len(r) != len(raw[0]) for r in raw):
             raise ValidationError("ragged matrix")
-        self.ctx, self.raw, self._rows, self._det = ctx, raw, None, None
+        self.ctx, self.raw, self._det = ctx, raw, None
         self.m, self.n = len(raw), len(raw[0]) if raw else 0
 
     @classmethod
@@ -56,17 +56,15 @@ class Matrix:
         """Trusted constructor for closed operations: raw is a tuple of
         equal-length rows of ctx's raw values, taken as it is."""
         out = cls.__new__(cls)
-        out.ctx, out.raw, out._rows, out._det = ctx, raw, None, None
+        out.ctx, out.raw, out._det = ctx, raw, None
         out.m, out.n = len(raw), len(raw[0]) if raw else 0
         return out
 
     @property
     def rows(self):
         """The entries as scalars, row by row."""
-        if self._rows is None:
-            wrap = self.ctx.kernel.wrap
-            self._rows = tuple(tuple(map(wrap, r)) for r in self.raw)
-        return self._rows
+        wrap = self.ctx.kernel.wrap
+        return tuple(tuple(map(wrap, r)) for r in self.raw)
 
     # -- constructors ---------------------------------------------------
 
@@ -110,12 +108,6 @@ class Matrix:
     def row_block(self, i, j):
         """Rows i to j - 1."""
         return Matrix._of(self.ctx, self.raw[i:j])
-
-    # -- slicing --------------------------------------------------------
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.ctx.kernel.wrap(self.raw[i][j])
 
     # -- arithmetic -----------------------------------------------------
 
@@ -230,9 +222,6 @@ class Matrix:
         a = list(self.raw)
         pivots = _gauss_jordan(self.ctx.kernel, a)
         return Matrix._of(self.ctx, tuple(map(tuple, a))), pivots
-
-    def rank(self):
-        return len(self.rref()[1])
 
     def column_space_canonical(self):
         """Canonical basis of the column space (reduced column echelon)."""

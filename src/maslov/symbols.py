@@ -18,7 +18,7 @@ from .fields import FieldCtx
 from .forms import FormMatrix
 from .lagrange import HyperbolicSpace, Lagrangian
 from .linalg import Matrix
-from .witt import WittClass
+from .witt import WittClass, _normalize_entry
 
 
 class SymbolSum:
@@ -29,8 +29,10 @@ class SymbolSum:
     def __init__(self, ctx: FieldCtx, terms=None):
         self.ctx = ctx
         self.terms = Counter()
+        k = ctx.kernel
         if terms:
             for (x, y), mult in dict(terms).items():
+                x, y = k.wrap(k.unwrap(x)), k.wrap(k.unwrap(y))
                 if not x or not y:
                     raise ZeroInput("symbol entries must be nonzero")
                 if mult:
@@ -78,9 +80,16 @@ def quaternion_form(ctx: FieldCtx, x, y) -> FormMatrix:
     return FormMatrix.diagonal(ctx, [ctx.one(), -x, -y, x * y], 1)
 
 
+def _require_trivial_involution(ctx):
+    # a quaternion form is symmetric only where the involution fixes x, y
+    if not ctx.has_trivial_involution:
+        raise WrongContext("symbols need a field with trivial involution")
+
+
 def R_map(sym: SymbolSum) -> WittClass:
     """Additive extension of {x, y} -> [<1, -x, -y, xy>]; lands in the
     discriminant kernel subgroup."""
+    _require_trivial_involution(sym.ctx)
     out = WittClass.zero(sym.ctx)
     for (x, y), mult in sym.items():
         cls = _sym_class(sym.ctx, x, y)
@@ -93,16 +102,16 @@ def R_map(sym: SymbolSum) -> WittClass:
 
 
 def _sym_class(ctx, x, y):
-    # the class of quaternion_form(ctx, x, y), read from its diagonal; the
-    # form is symmetric only where the involution fixes x and y
-    if not ctx.has_trivial_involution:
-        raise WrongContext("symbols need a field with trivial involution")
-    return WittClass(ctx, (ctx.one(), -x, -y, x * y))
+    # the class of quaternion_form(ctx, x, y), read from its diagonal of
+    # nonzero entries; the callers have refused a nontrivial involution
+    return WittClass._of(ctx, tuple(_normalize_entry(ctx, e) for e in (
+        ctx.one(), -x, -y, x * y)), 1)
 
 
 def steinberg_relations_report(ctx: FieldCtx, triples) -> dict:
     """Check the five symbol relations after applying R, over the supplied
     (s, t, r) scalar triples.  Returns per-relation counts and violations."""
+    _require_trivial_involution(ctx)
     checks = dict.fromkeys(["additivity", "unit", "inverse-swap",
                             "negate-product", "one-minus"], 0)
     violations = []
@@ -150,8 +159,7 @@ def generic_decompose(g: Matrix) -> Sl2Factorization:
     ctx = g.ctx
     if g.det() != ctx.one():
         raise ValidationError("matrix must have determinant one")
-    # single entries: rows would cache scalars on the caller's matrix
-    g11, g12, g21, g22 = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
+    g11, g12, g21, g22 = map(ctx.kernel.wrap, g.raw[0] + g.raw[1])
     one = ctx.one()
     if g21:
         r, s, t = -(one / g21), g11 / g21, g22 / g21

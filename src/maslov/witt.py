@@ -30,6 +30,7 @@ from fractions import Fraction
 from .errors import (
     ContextMismatch,
     DegenerateInput,
+    NotHermitian,
     ValidationError,
     WrongContext,
     ZeroInput,
@@ -38,6 +39,7 @@ from .errors import (
 from .fields import (
     INF,
     FieldCtx,
+    check_sign,
     is_prime,
     legendre,
     square_class,
@@ -171,7 +173,7 @@ def _witt_key(ctx: FieldCtx, eps: int, entries):
     sign_d, primes_d = square_class(-ctx.d)
     classes = []
     for e in entries:
-        sign, primes = square_class(ctx.fixed_rational(e))
+        sign, primes = square_class(e.raw[0])
         classes += [(sign, primes), (sign * sign_d, primes ^ primes_d)]
     return _rational_key(classes)
 
@@ -242,9 +244,9 @@ class SHatElement:
     __slots__ = ("ctx", "factors", "sign", "_class_cache")
 
     def __init__(self, ctx: FieldCtx, factors=(), sign: int = 1):
-        if type(sign) is not int or sign not in (1, -1):
-            raise ValidationError("sign must be +1 or -1")
-        factors = tuple(factors)
+        check_sign(sign, "sign")
+        k = ctx.kernel
+        factors = tuple(k.wrap(k.unwrap(f)) for f in factors)
         if not all(factors):
             raise ZeroScalar("norm class of 0 is undefined")
         self.ctx = ctx
@@ -311,11 +313,11 @@ def signed_discriminant(ctx: FieldCtx, n: int, factors) -> SHatElement:
 
 
 def _normalize_entry(ctx, e):
-    # replacing a diagonal entry by a square multiple keeps its class;
-    # keeping entries squarefree bounds all later arithmetic
-    if ctx.kind == "Q" and e:
+    # replacing a nonzero J-fixed diagonal entry by a square multiple keeps
+    # its class; keeping entries squarefree bounds all later arithmetic
+    if ctx.kind == "Q":
         return Fraction(squarefree_part(e))
-    if ctx.kind == "QSqrt" and e and e.raw[1] == 0:
+    if ctx.kind == "QSqrt":
         return ctx.from_rational(squarefree_part(e.raw[0]))
     return e
 
@@ -324,28 +326,34 @@ class WittClass:
     """A Witt-group element, held as a diagonal representative; its
     ``_witt_key``, computed once, decides equality, zero and hashing.
 
+    The entries are nonzero elements of the field that the involution
+    fixes.  The constructor scales nothing: ``witt_class`` scales a
+    skew-hermitian form over the quadratic kinds into a hermitian one.
     For skew forms over a field with trivial involution the group is
-    trivial and the representative is empty.  Skew-hermitian forms over
-    the quadratic kinds are scaled by a trace-zero unit into hermitian
-    ones on entry.
+    trivial and the representative is empty.
     """
 
     __slots__ = ("ctx", "eps", "diag", "_key_cache")
 
     def __init__(self, ctx: FieldCtx, diag, eps: int = 1):
-        diag = tuple(diag)
-        if not all(diag):
+        check_sign(eps, "eps")
+        k = ctx.kernel
+        raws = tuple(map(k.unwrap, diag))
+        if k.zero in raws:
             raise DegenerateInput("Witt representative has a zero entry")
+        if not ctx.has_trivial_involution and any(
+                k.conj(r) != r for r in raws):
+            raise NotHermitian("Witt entry is not fixed by the involution")
         if eps == -1 and ctx.has_trivial_involution:
-            diag = ()
+            raws = ()
         self.ctx, self.eps, self._key_cache = ctx, eps, None
-        self.diag = tuple(_normalize_entry(ctx, e) for e in diag)
+        self.diag = tuple(_normalize_entry(ctx, k.wrap(r)) for r in raws)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def _of(cls, ctx, diag, eps):
-        # + and neg: a tuple of normalized nonzero entries, as it is
+        # trusted: a tuple of normalized nonzero J-fixed entries, as it is
         out = cls.__new__(cls)
         out.ctx, out.eps, out.diag, out._key_cache = ctx, eps, diag, None
         return out
@@ -474,6 +482,6 @@ def trace_transfer(h: WittClass) -> WittClass:
         raise WrongContext("trace transfer needs a Q(sqrt(d)) context")
     minus_d = Fraction(-h.ctx.d)
     entries = []
-    for a in map(h.ctx.fixed_rational, h.diag):
+    for a in (e.raw[0] for e in h.diag):
         entries += [a, minus_d * a]
     return WittClass(FieldCtx("Q", epsilon=1), entries, eps=1)

@@ -8,13 +8,14 @@
   with w^2 = nu, and Fraction pairs with w^2 = d.  They share no code with
   the field kernels they check.
 * The matrix product on raw values, one oracle operation per term, and
-  the right kernel read off the reduced echelon form.
+  the rank and right kernel read off the reduced echelon form.
 * Form constructors: diagonal forms from rationals, direct sums and
   congruent forms.
 * Congruence diagonalization on scalars, and the signature counted from
   it.
 * The Lagrangians of a finite module, found among all its subspaces;
-  common opposites; the holonomy matrix of a triple.
+  common opposites; the holonomy matrix of a triple; the inverse of a
+  unitary element.
 * The orbit census over every ordered pairwise opposite triple.
 * Based triples built from and read back as their witnesses, and the
   based edge cochain read in the frame of the pair.
@@ -222,6 +223,11 @@ def termwise_product(a, b, add, mul, zero):
                        for c in zip(*b)) for r in a)
 
 
+def rank(m: Matrix) -> int:
+    """The number of pivot columns of the reduced row echelon form."""
+    return len(m.rref()[1])
+
+
 def kernel_basis(m: Matrix):
     """Basis of the right kernel of m, as a list of column vectors: one
     per free column of the reduced row echelon form."""
@@ -232,7 +238,7 @@ def kernel_basis(m: Matrix):
         v = [ctx.zero()] * m.n
         v[f] = ctx.one()
         for r, c in enumerate(pivots):
-            v[c] = -red[r, f]
+            v[c] = -red.rows[r][f]
         basis.append(v)
     return basis
 
@@ -448,6 +454,11 @@ def holonomy(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> Matrix:
     n = x.space.n
     zero = Matrix.zeros(x.space.ctx, n, n)
     return Matrix.block2(zero, -t.inverse(), t, zero)
+
+
+def unitary_inverse(g: UnitaryElement) -> UnitaryElement:
+    """The inverse of g, read from the inverse of its matrix."""
+    return UnitaryElement._of(g.space, g.mat.inverse())
 
 
 # ---------------------------------------------------------------------------

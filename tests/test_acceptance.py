@@ -10,12 +10,9 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
 from maslov.fields import FieldCtx
 from maslov.forms import FormMatrix, is_isometric
 from maslov.lagrange import HyperbolicSpace, enumerate_lagrangians, kappa
-from maslov.linalg import Matrix
 from maslov.cocycle import (
     boundary_defect,
     disc_defect,
@@ -35,7 +32,6 @@ from maslov.sampling import (
     rng_for,
 )
 from maslov.symbols import (
-    R_map,
     quaternion_form,
     steinberg_relations_report,
 )

@@ -178,6 +178,14 @@ def test_compare_outside_the_symplectic_case_exits_2(field):
     assert report_of(proc)["error"] == "WrongContext"
 
 
+@pytest.mark.parametrize("command", ["compare", "steinberg-check"])
+def test_symbol_commands_refuse_a_field_before_any_trial(command, capsys):
+    # with no trial to run, the field is still refused
+    assert cli.run([command, "--field", '{"kind":"Fp2","p":3}',
+                    "--trials", "0"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "WrongContext"
+
+
 def test_symbol_commands_refuse_nontrivial_involutions(capsys):
     # symbols need x and y fixed by the involution; ε = -1 is fine for
     # steinberg-check, whose quaternion forms are symmetric by themselves
@@ -407,120 +415,58 @@ def test_skew_census_over_prime_fields_is_one_orbit():
         assert report_of(proc)["outputs"]["classes"] == 1
 
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "golden_reports.json").read_text())
+# Each tests/data/golden_<name>.json pins the byte-exact report and exit
+# status (0 where "status" is absent) of its jobs, run as test_golden_<name>:
+#   witt_and_kappa: one kappa and witt job per field kind whose diagonal
+#     holds a hyperbolic pair (the representative and hasse fields);
+#   frame: kappa and maslov with each pair of X, Y, Z not opposite, a tau
+#     off the generic locus, and the three sampled checks at ranks 1 and 2;
+#   product: kappa, maslov, kashiwara and tau at ranks 1 to 3 over Q,
+#     Q(sqrt(2)) and Q(sqrt(-1)) on seeded inputs, and the three sampled
+#     checks at rank 3 (the matrix products over Q and Q(sqrt(d)));
+#   witt_layer: witt and disc at ranks 1 to 3 over Q, Q(sqrt(2)),
+#     Q(sqrt(-1)) and Q(sqrt(-5)), eps = +-1, with degenerate matrices;
+#     kashiwara over Q at ranks 1 to 3 with the triples (X, Y, Z), (X, X, X)
+#     and (X, Y, X), refused elsewhere; tau with g and h random, g = 1 and
+#     g = h = 1 (the signature, hasse, representative and every refusal);
+#   census: rank 1 over F_3 to F_13, F_9, F_25 and F_49, rank 2 over F_3
+#     and skew F_5 and F_7, eps = +-1 (classes, orbit sizes, totals and the
+#     orbit check);
+#   symbol: steinberg-check swept over F_3, F_5 and F_7 and sampled over Q;
+#     compare on single pairs over Q and F_5 (one not generic) and sampled
+#     over Q, F_5 and F_7 (the relation and match counts and the refusal);
+#   lagrangian: ranks 1 and 2 over F_3, F_5, F_7, F_9 and F_25 and rank 3
+#     over F_3 and F_5 (refused), eps = +-1 (the count, the listed canonical
+#     bases, their order and the refusal).
+GOLDEN_FILES = sorted((Path(__file__).parent / "data").glob("golden_*.json"))
 
 
-@pytest.mark.parametrize("job", GOLDEN, ids=lambda job: " ".join(
-    job["argv"][:3]))
-def test_golden_witt_and_kappa_reports(job, capsys):
-    # one job per field kind whose diagonal holds a hyperbolic pair; the
-    # representative and hasse fields must not change
-    assert cli.run(job["argv"]) == 0
-    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
-    assert capsys.readouterr().out == expected
+def _golden_job_id(name, argv):
+    # census and lagrangian jobs differ only in field and input
+    if name in ("census", "lagrangian"):
+        return " ".join(argv[2:5:2])
+    if name == "symbol":
+        return " ".join(a for a in argv if a != "--field")
+    return " ".join(argv[:3])
 
 
-GOLDEN_FRAME = json.loads(
-    (Path(__file__).parent / "data" / "golden_frame_reports.json")
-    .read_text())
+def _golden_test(path):
+    name = path.stem[len("golden_"):-len("_reports")]
+
+    @pytest.mark.parametrize(
+        "job", json.loads(path.read_text()),
+        ids=lambda job: _golden_job_id(name, job["argv"]))
+    def test(job, capsys):
+        assert cli.run(job["argv"]) == job.get("status", 0)
+        expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
+        assert capsys.readouterr().out == expected
+
+    test.__name__ = f"test_{path.stem}"
+    return test
 
 
-@pytest.mark.parametrize("job", GOLDEN_FRAME, ids=lambda job: " ".join(
-    job["argv"][:3]))
-def test_golden_frame_reports(job, capsys):
-    # kappa and maslov with each pair of X, Y, Z not opposite, a tau off
-    # the generic locus, and the three sampled checks at ranks 1 and 2:
-    # the exit status, error name, message and report must not change
-    assert cli.run(job["argv"]) == job["status"]
-    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
-    assert capsys.readouterr().out == expected
-
-
-GOLDEN_PRODUCT = json.loads(
-    (Path(__file__).parent / "data" / "golden_product_reports.json")
-    .read_text())
-
-
-@pytest.mark.parametrize("job", GOLDEN_PRODUCT, ids=lambda job: " ".join(
-    job["argv"][:3]))
-def test_golden_product_reports(job, capsys):
-    # kappa, maslov, kashiwara and tau at ranks 1 to 3 over Q, Q(sqrt(2))
-    # and Q(sqrt(-1)) on seeded inputs, and the three sampled checks at
-    # rank 3: the matrix products over Q and Q(sqrt(d)) must not change
-    # a report or an exit status
-    assert cli.run(job["argv"]) == job["status"]
-    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
-    assert capsys.readouterr().out == expected
-
-
-GOLDEN_WITT = json.loads(
-    (Path(__file__).parent / "data" / "golden_witt_reports.json")
-    .read_text())
-
-
-@pytest.mark.parametrize("job", GOLDEN_WITT, ids=lambda job: " ".join(
-    job["argv"][:3]))
-def test_golden_witt_layer_reports(job, capsys):
-    # witt and disc at ranks 1 to 3 over Q, Q(sqrt(2)), Q(sqrt(-1)) and
-    # Q(sqrt(-5)), eps = +-1, with degenerate matrices; kashiwara over Q
-    # at ranks 1 to 3 with the triples (X, Y, Z), (X, X, X) and (X, Y, X),
-    # refused elsewhere; tau with g and h random, g = 1 and g = h = 1:
-    # the signature, hasse, representative and every refusal must not
-    # change with the way the Witt layer reduces a form
-    assert cli.run(job["argv"]) == job["status"]
-    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
-    assert capsys.readouterr().out == expected
-
-
-GOLDEN_CENSUS = json.loads(
-    (Path(__file__).parent / "data" / "golden_census_reports.json")
-    .read_text())
-
-
-@pytest.mark.parametrize("job", GOLDEN_CENSUS, ids=lambda job: " ".join(
-    job["argv"][2:5:2]))
-def test_golden_census_reports(job, capsys):
-    # rank 1 over F_3 to F_13, F_9, F_25 and F_49, rank 2 over F_3 and
-    # skew F_5 and F_7, eps = +-1: classes, orbit sizes, totals and the
-    # orbit check must not change with the way the census is computed
-    assert cli.run(job["argv"]) == job["status"]
-    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
-    assert capsys.readouterr().out == expected
-
-
-GOLDEN_SYMBOLS = json.loads(
-    (Path(__file__).parent / "data" / "golden_symbol_reports.json")
-    .read_text())
-
-
-@pytest.mark.parametrize("job", GOLDEN_SYMBOLS, ids=lambda job: " ".join(
-    a for a in job["argv"] if a != "--field"))
-def test_golden_symbol_reports(job, capsys):
-    # steinberg-check swept over F_3, F_5 and F_7 and sampled over Q;
-    # compare on single pairs over Q and F_5 (one not generic) and sampled
-    # over Q, F_5 and F_7: the relation counts, the match counts and the
-    # refusal must not change with the way the symbol route is computed
-    assert cli.run(job["argv"]) == job["status"]
-    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
-    assert capsys.readouterr().out == expected
-
-
-GOLDEN_LAGRANGIANS = json.loads(
-    (Path(__file__).parent / "data" / "golden_lagrangian_reports.json")
-    .read_text())
-
-
-@pytest.mark.parametrize("job", GOLDEN_LAGRANGIANS, ids=lambda job: " ".join(
-    job["argv"][2:5:2]))
-def test_golden_lagrangian_reports(job, capsys):
-    # ranks 1 and 2 over F_3, F_5, F_7, F_9 and F_25 and rank 3 over F_3
-    # and F_5 (refused), eps = +-1: the count, the listed canonical bases,
-    # their order and the refusal must not change with the way the
-    # Lagrangians are enumerated
-    assert cli.run(job["argv"]) == job["status"]
-    expected = json.dumps(job["report"], sort_keys=True, indent=2) + "\n"
-    assert capsys.readouterr().out == expected
+for _path in GOLDEN_FILES:
+    globals()[f"test_{_path.stem}"] = _golden_test(_path)
 
 
 def file_error(capsys, *argv):

@@ -141,7 +141,7 @@ def test_diagonalize_matches_scalar_oracle(ctx):
             assert got.diag == ref.diag
             assert got.radical_dim == ref.radical_dim
             assert got.transform == ref.transform
-            if got.diag and not any(t.mat[i, i] for i in range(n)):
+            if got.diag and not any(t.mat.rows[i][i] for i in range(n)):
                 repaired += 1
     assert repaired > 0
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from maslov.errors import NonGeneric, ValidationError, WrongContext, ZeroInput
-from maslov.fields import INF, FieldCtx
-from maslov.forms import FormMatrix, is_isometric
+from maslov.fields import FieldCtx
+from maslov.forms import is_isometric
 from maslov.linalg import Matrix
 from maslov.symbols import (
     R_map,
@@ -139,6 +139,13 @@ def test_symbol_sum_arithmetic():
     assert (s + t).items() == [((frac(2), frac(3)), 2)]
     with pytest.raises(ZeroInput):
         SymbolSum.symbol(Q, frac(0), frac(1))
+
+
+def test_symbol_sums_refuse_scalars_of_another_field():
+    for x, y in ((F5.from_int(2), F5.from_int(3)),
+                 (F7.from_int(2), F5.from_int(3))):
+        with pytest.raises(ValidationError, match="is not an element of F7"):
+            SymbolSum.symbol(F7, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from maslov.errors import (
     ContextMismatch,
     DegenerateInput,
+    NotHermitian,
     ValidationError,
     ZeroInput,
     ZeroScalar,
@@ -42,6 +43,7 @@ from oracles import (
 Q = FieldCtx("Q")
 F3 = FieldCtx("Fp", p=3)
 F5 = FieldCtx("Fp", p=5)
+F7 = FieldCtx("Fp", p=7)
 F9 = FieldCtx("Fp2", p=3)
 QI = FieldCtx("QSqrt", d=-1)
 F25 = FieldCtx("Fp2", p=5)
@@ -125,6 +127,36 @@ def test_witt_context_mismatch():
 def test_skew_trivial_group():
     skew = witt_class(FormMatrix(Q, [[0, -1], [1, 0]], -1))
     assert skew.is_zero()
+
+
+@pytest.mark.parametrize("eps", [5, 0, 1.0, True, -1.0], ids=repr)
+def test_witt_class_takes_the_int_sign_only(eps):
+    with pytest.raises(ValidationError, match=r"^eps must be \+1 or -1$"):
+        WittClass(Q, [1, 2], eps)
+
+
+@pytest.mark.parametrize("ctx", [F9, QI], ids=repr)
+def test_witt_class_refuses_an_entry_the_involution_moves(ctx):
+    # w over F_9 and sqrt(-1) over Q(sqrt(-1)) are moved; their squares
+    # are fixed
+    u = ctx.generator()
+    with pytest.raises(NotHermitian):
+        WittClass(ctx, [u])
+    assert WittClass(ctx, [u * u, -(u * u)]).is_zero()
+
+
+@pytest.mark.parametrize("ctx, entry", [
+    (F7, F5.from_int(1)), (Q, F5.from_int(1)), (F5, F9.one()),
+    (QI, F5.one())],
+    ids=["F5 over F7", "F5 over Q", "F9 over F5", "F5 over Q(sqrt(-1))"])
+def test_witt_class_refuses_an_entry_of_another_field(ctx, entry):
+    with pytest.raises(ValidationError, match="is not an element of"):
+        WittClass(ctx, [entry])
+
+
+def test_shat_refuses_a_factor_of_another_field():
+    with pytest.raises(ValidationError, match="is not an element of F7"):
+        SHatElement(F7, (F5.from_int(2),))
 
 
 @pytest.mark.parametrize("ctx, eps", [
