@@ -49,7 +49,11 @@ from .sampling import (
     random_opposite_quadruple,
     rng_for,
 )
-from .symbols import compare_stbg_maslov, steinberg_relations_report
+from .symbols import (
+    _require_trivial_involution,
+    compare_stbg_maslov,
+    steinberg_relations_report,
+)
 from .witt import hilbert_symbol, witt_class
 
 DEFAULT_SEED = 20259
@@ -238,6 +242,7 @@ def _det_one_matrices(ctx, rng):
 
 
 def cmd_steinberg_check(ctx, inputs, args):
+    _require_trivial_involution(ctx)
     if args.exhaustive:
         if not ctx.is_finite:
             raise ParseError("--exhaustive needs a finite field")

@@ -36,7 +36,13 @@ from .lagrange import (
     w_element,
 )
 from .linalg import Matrix
-from .witt import SHatElement, WittClass, signed_discriminant, witt_class
+from .witt import (
+    SHatElement,
+    WittClass,
+    _normalize_entry,
+    signed_discriminant,
+    witt_class,
+)
 
 
 def maslov(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> WittClass:
@@ -155,9 +161,12 @@ def based_cochain_f(v: Lagrangian, w: Lagrangian) -> SHatElement:
 
 def _edge_det_form(v: Lagrangian, w: Lagrangian) -> WittClass:
     # the Witt-group lift <det(-a b^J), 1, ..., 1> of the edge cochain
-    # (symplectic only, so eps = 1), built from its diagonal entries
+    # (symplectic only, so eps = 1 and every entry is J-fixed), built from
+    # its diagonal entries; _edge_det refuses a zero determinant
     ctx = v.space.ctx
-    return WittClass(ctx, [_edge_det(v, w)] + [ctx.one()] * (v.space.n - 1))
+    return WittClass._of(ctx, tuple(
+        _normalize_entry(ctx, e)
+        for e in [_edge_det(v, w)] + [ctx.one()] * (v.space.n - 1)), 1)
 
 
 class BasedTriple:

@@ -21,7 +21,13 @@ import weakref
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ParseError, TooLarge, ValidationError, ZeroScalar
+from .errors import (
+    ParseError,
+    SingularInput,
+    TooLarge,
+    ValidationError,
+    ZeroScalar,
+)
 
 INF = "inf"  # the real place, used by Hilbert-symbol code
 
@@ -309,10 +315,10 @@ class Scalar:
 # Arithmetic kernels: one per field, on the raw values scalars and matrices
 # hold.  Each has name (the field in FieldCtx's repr), zero, one, wrap (raw
 # -> scalar), unwrap (scalar or int -> raw; elements of another field
-# raise), conj, neg, add, sub, mul, inv, matmul(a, b) on tuples of raw rows
-# and, on rows u and v, axpy(u, f, v) = u - f v and scale(u, c) = u c.  The
-# kernels behind ``Scalar`` add div and show (raw -> repr), the quadratic
-# ones gen.
+# raise), conj, neg, add, sub, mul, inv, scale(u, c) = u c on a row u, and
+# on tuples of raw rows its own matmul(a, b), det(a), inverse(a) (raising
+# SingularInput) and rref(a) -> (rows, pivot columns).  The kernels behind
+# ``Scalar`` add div and show (raw -> repr), the quadratic ones gen.
 
 
 class _Kernel:
@@ -342,7 +348,76 @@ class _Kernel:
         return f"{a}" if b == 0 else f"{a}+{b}{self.gen_name}"
 
 
-class _FpKernel(_Kernel):
+class _FiniteKernel(_Kernel):
+    """What F_p and F_{p^2} share: elimination with field division, one
+    inverse per pivot, on rows through axpy(u, f, v) = u - f v and scale."""
+
+    def _gauss_jordan(self, a):
+        # the list of rows a to reduced row echelon form in place; returns
+        # the pivot columns
+        m = len(a)
+        n = len(a[0]) if a else 0
+        zero = self.zero
+        pivots = []
+        r = 0
+        for c in range(n):
+            piv = None
+            for i in range(r, m):
+                if a[i][c] != zero:
+                    piv = i
+                    break
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            a[r] = self.scale(a[r], self.inv(a[r][c]))
+            for i in range(m):
+                if i != r and a[i][c] != zero:
+                    a[i] = self.axpy(a[i], a[i][c], a[r])
+            pivots.append(c)
+            r += 1
+            if r == m:
+                break
+        return pivots
+
+    def det(self, a):
+        zero = self.zero
+        n = len(a)
+        a = list(a)
+        det = self.one
+        for c in range(n):
+            piv = None
+            for i in range(c, n):
+                if a[i][c] != zero:
+                    piv = i
+                    break
+            if piv is None:
+                return zero
+            if piv != c:
+                a[c], a[piv] = a[piv], a[c]
+                det = self.neg(det)
+            det = self.mul(det, a[c][c])
+            inv = self.inv(a[c][c])
+            for i in range(c + 1, n):
+                if a[i][c] != zero:
+                    a[i] = self.axpy(a[i], self.mul(a[i][c], inv), a[c])
+        return det
+
+    def inverse(self, a):
+        n, z = len(a), (self.zero,)
+        rows = [r + z * i + (self.one,) + z * (n - 1 - i)
+                for i, r in enumerate(a)]
+        # [A | I] has rank n; A is invertible iff its pivots are A's columns
+        if n and self._gauss_jordan(rows)[-1] >= n:
+            raise SingularInput("matrix is singular")
+        return tuple(tuple(r[n:]) for r in rows)
+
+    def rref(self, a):
+        rows = list(a)
+        pivots = self._gauss_jordan(rows)
+        return tuple(map(tuple, rows)), pivots
+
+
+class _FpKernel(_FiniteKernel):
     """F_p on ints in [0, p); a dot product reduces once."""
 
     zero, one = 0, 1
@@ -365,7 +440,7 @@ class _FpKernel(_Kernel):
                      for u in x)
 
 
-class _Fp2Kernel(_Kernel):
+class _Fp2Kernel(_FiniteKernel):
     """F_{p^2} on int pairs (a, b) for a + b w, w^2 = nu, reduced mod p;
     nu is the least non-residue mod p."""
 
@@ -429,6 +504,76 @@ def _over_lcm(vectors):
     return out
 
 
+# Elimination over Q and Q(sqrt(d)) is fraction-free (E. H. Bareiss, Math.
+# Comp. 22, 1968; H. Cohen, GTM 138, Alg. 2.2.6): each row goes over the lcm
+# of its denominators, each step divides exactly by the previous pivot, and
+# the entries stay integers, minors of the input, until one Fraction per
+# entry at the end.
+
+
+def _bareiss(a, width, below=False):
+    """Bareiss elimination of the list of int rows a in place, on their
+    first width columns: Gauss-Jordan, or with below only the rows under
+    each pivot.  Every pivot row ends with the last pivot in its pivot
+    column.  Returns the pivot columns, the last pivot (1 if there is none)
+    and the sign of the row swaps."""
+    m = len(a)
+    pivots, prev, sign = [], 1, 1
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        row = a[r]
+        p = row[c]
+        for i in range(r + 1 if below else 0, m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+        prev = p
+        pivots.append(c)
+        if r + 1 == m:
+            break
+    return pivots, prev, sign
+
+
+def _bareiss_sqrt(a, d, width, below=False):
+    """_bareiss on rows of int pairs (x, y) for x + y sqrt(d).  Entries stay
+    in Z[sqrt(d)]; a step divides exactly in that ring, multiplying by the
+    conjugate of the previous pivot and dividing by its integer norm."""
+    m = len(a)
+    pivots, prev, sign = [], (1, 0), 1
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if a[i][c] != (0, 0)), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        row = a[r]
+        (pa, pb), (qa, qb) = row[c], prev
+        dpb, dqb, norm = d * pb, d * qb, qa * qa - d * qb * qb
+        for i in range(r + 1 if below else 0, m):
+            if i != r:
+                fa, fb = a[i][c]
+                dfb, out = d * fb, []
+                for (xa, xb), (ya, yb) in zip(a[i], row):
+                    za = pa * xa + dpb * xb - fa * ya - dfb * yb
+                    zb = pa * xb + pb * xa - fa * yb - fb * ya
+                    out.append(((za * qa - zb * dqb) // norm,
+                                (zb * qa - za * qb) // norm))
+                a[i] = out
+        prev = row[c]
+        pivots.append(c)
+        if r + 1 == m:
+            break
+    return pivots, prev, sign
+
+
 class _QuadKernel(_Kernel):
     """Q(sqrt(d)) on Fraction pairs (a, b) for a + b sqrt(d)."""
 
@@ -463,11 +608,51 @@ class _QuadKernel(_Kernel):
             + [[d * b for _, b in r] + [a for a, _ in r] for r in y])
         return tuple(tuple(zip(r[:n], r[n:])) for r in z)
 
-    def axpy(self, u, f, v):
-        c, e = f
-        ed = e * self.d
-        return [(a - c * x - ed * y, b - c * y - e * x)
-                for (a, b), (x, y) in zip(u, v)]
+    def _int_rows(self, a):
+        # each row of pairs as (n, its pairs times n as int pairs), n the
+        # lcm of the denominators of both parts
+        return [(n, list(zip(v[::2], v[1::2])))
+                for n, v in _over_lcm([x for e in r for x in e] for r in a)]
+
+    def det(self, a):
+        rows = self._int_rows(a)
+        ints = [v for _, v in rows]
+        pivots, (pa, pb), sign = _bareiss_sqrt(ints, self.d, len(ints),
+                                               below=True)
+        if len(pivots) < len(ints):
+            return self.zero
+        n = math.prod(l for l, _ in rows)
+        return (Fraction(sign * pa, n), Fraction(sign * pb, n))
+
+    def _reduce(self, rows, width):
+        # Gauss-Jordan on the int pair rows in place; returns the pivot
+        # columns and the map of a row to its entries x over the last pivot
+        # p, as x conj(p) / N(p) in Fractions
+        d = self.d
+        pivots, (pa, pb), _ = _bareiss_sqrt(rows, d, width)
+        dpb, norm = d * pb, pa * pa - d * pb * pb
+
+        def over(r):
+            return tuple([(Fraction(xa * pa - xb * dpb, norm),
+                           Fraction(xb * pa - xa * pb, norm))
+                          for xa, xb in r])
+        return pivots, over
+
+    def inverse(self, a):
+        # [L A | L] for L the diagonal of the row lcms becomes [p I | p A^-1]
+        n = len(a)
+        rows = [v + [(0, 0)] * i + [(l, 0)] + [(0, 0)] * (n - 1 - i)
+                for i, (l, v) in enumerate(self._int_rows(a))]
+        pivots, over = self._reduce(rows, n)
+        if len(pivots) < n:
+            raise SingularInput("matrix is singular")
+        return tuple(over(r[n:]) for r in rows)
+
+    def rref(self, a):
+        # the row lcms scale rows, which leaves the reduced form alone
+        rows = [v for _, v in self._int_rows(a)]
+        pivots, over = self._reduce(rows, len(a[0]) if a else 0)
+        return tuple(map(over, rows)), pivots
 
     def scale(self, u, f):
         c, e = f
@@ -484,7 +669,6 @@ class _ScalarKernel:
     def __init__(self):
         self.wrap = self.conj = lambda a: a
         self.inv = lambda a: 1 / a
-        self.axpy = lambda u, f, v: [a - f * b for a, b in zip(u, v)]
         self.scale = lambda u, c: [a * c for a in u]
 
     @staticmethod
@@ -502,6 +686,34 @@ class _ScalarKernel:
         mul, cols = operator.mul, _over_lcm(zip(*y))
         return tuple(tuple([Fraction(sum(map(mul, a, c)), n * m)
                             for m, c in cols]) for n, a in _over_lcm(x))
+
+    @staticmethod
+    def det(a):
+        rows = _over_lcm(a)
+        ints = [v for _, v in rows]
+        pivots, p, sign = _bareiss(ints, len(ints), below=True)
+        if len(pivots) < len(ints):
+            return _F0
+        return Fraction(sign * p, math.prod(l for l, _ in rows))
+
+    @staticmethod
+    def inverse(a):
+        # [L A | L] for L the diagonal of the row lcms becomes [p I | p A^-1]
+        n = len(a)
+        rows = [v + [0] * i + [l] + [0] * (n - 1 - i)
+                for i, (l, v) in enumerate(_over_lcm(a))]
+        pivots, p, _ = _bareiss(rows, n)
+        if len(pivots) < n:
+            raise SingularInput("matrix is singular")
+        return tuple(tuple([Fraction(x, p) for x in r[n:]]) for r in rows)
+
+    @staticmethod
+    def rref(a):
+        # the row lcms scale rows, which leaves the reduced form alone
+        rows = [v for _, v in _over_lcm(a)]
+        pivots, p, _ = _bareiss(rows, len(a[0]) if a else 0)
+        return tuple(tuple([Fraction(x, p) for x in r])
+                     for r in rows), pivots
 
 
 _KERNELS = weakref.WeakValueDictionary()

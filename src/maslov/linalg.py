@@ -1,44 +1,17 @@
 """Dense exact matrices over a FieldCtx.
 
-Everything is immutable; all eliminations use exact field division, so
-ranks, kernels and inverses are never approximate.  A matrix holds the
-raw values of its context's arithmetic kernel (``FieldCtx.kernel``) and
-computes on them; scalars appear only at the boundary (``Matrix(ctx,
-rows)``, ``rows`` and ``det``).
+Everything is immutable and exact.  A matrix holds the raw values of its
+context's arithmetic kernel (``FieldCtx.kernel``) and computes on them;
+scalars appear only at the boundary (``Matrix(ctx, rows)``, ``rows`` and
+``det``).  Each kernel does its own products and eliminations: F_p and
+F_{p^2} eliminate with field division, Q and Q(sqrt(d)) fraction-free on
+integer rows, forming each Fraction once at the end.
 """
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, SingularInput, ValidationError
+from .errors import DimensionMismatch, ValidationError
 from .fields import FieldCtx
-
-
-def _gauss_jordan(k, a):
-    """Bring the list of raw rows a to reduced row echelon form in place,
-    with kernel k; returns the pivot columns."""
-    m = len(a)
-    n = len(a[0]) if a else 0
-    zero = k.zero
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][c] != zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = k.scale(a[r], k.inv(a[r][c]))
-        for i in range(m):
-            if i != r and a[i][c] != zero:
-                a[i] = k.axpy(a[i], a[i][c], a[r])
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return pivots
 
 
 class Matrix:
@@ -173,55 +146,25 @@ class Matrix:
     def det(self):
         """The determinant, computed once per matrix."""
         if self._det is None:
-            self._det = self.ctx.kernel.wrap(self._eliminate_det())
+            if self.m != self.n:
+                raise DimensionMismatch("determinant of a non-square matrix")
+            k = self.ctx.kernel
+            self._det = k.wrap(k.det(self.raw))
         return self._det
-
-    def _eliminate_det(self):
-        if self.m != self.n:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        k = self.ctx.kernel
-        zero = k.zero
-        n = self.n
-        a = list(self.raw)
-        det = k.one
-        for c in range(n):
-            piv = None
-            for i in range(c, n):
-                if a[i][c] != zero:
-                    piv = i
-                    break
-            if piv is None:
-                return zero
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = k.neg(det)
-            det = k.mul(det, a[c][c])
-            inv = k.inv(a[c][c])
-            for i in range(c + 1, n):
-                if a[i][c] != zero:
-                    a[i] = k.axpy(a[i], k.mul(a[i][c], inv), a[c])
-        return det
 
     def is_invertible(self):
         return self.m == self.n and bool(self.det())
 
     def inverse(self):
+        """The inverse; SingularInput if there is none."""
         if self.m != self.n:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.n
-        k = self.ctx.kernel
-        eye = Matrix.identity(self.ctx, n).raw
-        a = [r + e for r, e in zip(self.raw, eye)]
-        # [A | I] has rank n; A is invertible iff its pivots are A's columns
-        if n and _gauss_jordan(k, a)[-1] >= n:
-            raise SingularInput("matrix is singular")
-        return Matrix._of(self.ctx, tuple(tuple(r[n:]) for r in a))
+        return Matrix._of(self.ctx, self.ctx.kernel.inverse(self.raw))
 
     def rref(self):
         """Reduced row echelon form together with the pivot columns."""
-        a = list(self.raw)
-        pivots = _gauss_jordan(self.ctx.kernel, a)
-        return Matrix._of(self.ctx, tuple(map(tuple, a))), pivots
+        raw, pivots = self.ctx.kernel.rref(self.raw)
+        return Matrix._of(self.ctx, raw), pivots
 
     def column_space_canonical(self):
         """Canonical basis of the column space (reduced column echelon)."""

@@ -115,8 +115,10 @@ def steinberg_relations_report(ctx: FieldCtx, triples) -> dict:
     checks = dict.fromkeys(["additivity", "unit", "inverse-swap",
                             "negate-product", "one-minus"], 0)
     violations = []
-    one = ctx.one()
-    for (s, t, r) in triples:
+    one, k = ctx.one(), ctx.kernel
+    for triple in triples:
+        # refuses scalars of another field; ints become elements of ctx
+        s, t, r = (k.wrap(k.unwrap(x)) for x in triple)
         if not (s and t and r):
             continue
         st = _sym_class(ctx, s, t)

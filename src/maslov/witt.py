@@ -472,7 +472,9 @@ def witt_class(t: FormMatrix) -> WittClass:
         diag, degenerate = dg.diag, dg.radical_dim > 0
     if degenerate:
         raise DegenerateInput("Witt class needs a nondegenerate form")
-    return WittClass(ctx, _strip_hyperbolic(ctx, eps, diag), eps)
+    # a nondegenerate hermitian form's diagonal is nonzero and J-fixed
+    return WittClass._of(ctx, tuple(_normalize_entry(ctx, e) for e in
+                                    _strip_hyperbolic(ctx, eps, diag)), eps)
 
 
 def trace_transfer(h: WittClass) -> WittClass:

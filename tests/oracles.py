@@ -9,6 +9,9 @@
   the field kernels they check.
 * The matrix product on raw values, one oracle operation per term, and
   the rank and right kernel read off the reduced echelon form.
+* Elimination with field division on raw values, one division per
+  entry: Gauss-Jordan, the determinant and the inverse, the reference
+  for the fraction-free eliminations of the kernels over Q and Q(sqrt(d)).
 * Form constructors: diagonal forms from rationals, direct sums and
   congruent forms.
 * Congruence diagonalization on scalars, and the signature counted from
@@ -28,6 +31,7 @@
 
 import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -221,6 +225,69 @@ def termwise_product(a, b, add, mul, zero):
     Fractions, with no common denominator."""
     return tuple(tuple(functools.reduce(add, map(mul, r, c), zero)
                        for c in zip(*b)) for r in a)
+
+
+class OperatorOracle:
+    """Python's own operators: Q on Fractions, or the scalars of any field."""
+
+    add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+    div = operator.truediv
+
+
+def field_rref(ops, zero, a):
+    """Gauss-Jordan with field division on the raw rows a, by the scalar
+    operations ops: the reduced row echelon form and its pivot columns."""
+    a = [list(r) for r in a]
+    m, n = len(a), len(a[0]) if a else 0
+    pivots, r = [], 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c] != zero), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        lead = a[r][c]
+        a[r] = [ops.div(x, lead) for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != zero:
+                f = a[i][c]
+                a[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return tuple(map(tuple, a)), pivots
+
+
+def field_det(ops, zero, one, a):
+    """The determinant of the square raw rows a: the product of the pivots
+    of forward elimination with field division, negated once per swap."""
+    a = [list(r) for r in a]
+    n, det = len(a), one
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != zero), None)
+        if piv is None:
+            return zero
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = ops.neg(det)
+        det = ops.mul(det, a[c][c])
+        for i in range(c + 1, n):
+            if a[i][c] != zero:
+                f = ops.div(a[i][c], a[c][c])
+                a[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(a[i], a[c])]
+    return det
+
+
+def field_inverse(ops, zero, one, a):
+    """The inverse of the square raw rows a, read off Gauss-Jordan on
+    [A | I]; SingularInput when a pivot falls in I."""
+    n = len(a)
+    red, pivots = field_rref(ops, zero, [
+        list(r) + [one if j == i else zero for j in range(n)]
+        for i, r in enumerate(a)])
+    if n and pivots[-1] >= n:
+        raise SingularInput("matrix is singular")
+    return tuple(r[n:] for r in red)
 
 
 def rank(m: Matrix) -> int:

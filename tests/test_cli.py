@@ -188,12 +188,13 @@ def test_symbol_commands_refuse_a_field_before_any_trial(command, capsys):
 
 def test_symbol_commands_refuse_nontrivial_involutions(capsys):
     # symbols need x and y fixed by the involution; ε = -1 is fine for
-    # steinberg-check, whose quaternion forms are symmetric by themselves
-    for field in ('{"kind":"Fp2","p":3}', '{"kind":"QSqrt","d":-1}',
+    # steinberg-check, whose quaternion forms are symmetric by themselves.
+    # The involution is refused first: before --exhaustive asks for a
+    # finite field (QSqrt) or a sweep under the limit (F_{31^2})
+    for field in ('{"kind":"Fp2","p":3}', '{"kind":"Fp2","p":31}',
+                  '{"kind":"QSqrt","d":-1}', '{"kind":"QSqrt","d":2}',
                   '{"kind":"QSqrt","d":2,"epsilon":-1}'):
         for argv in (("--trials", "4"), ("--exhaustive",)):
-            if argv == ("--exhaustive",) and "QSqrt" in field:
-                continue
             assert cli.run(["steinberg-check", "--field", field, *argv]) == 2
             rep = json.loads(capsys.readouterr().out)
             assert rep["error"] == "WrongContext"
@@ -437,7 +438,11 @@ def test_skew_census_over_prime_fields_is_one_orbit():
 #     over Q, F_5 and F_7 (the relation and match counts and the refusal);
 #   lagrangian: ranks 1 and 2 over F_3, F_5, F_7, F_9 and F_25 and rank 3
 #     over F_3 and F_5 (refused), eps = +-1 (the count, the listed canonical
-#     bases, their order and the refusal).
+#     bases, their order and the refusal);
+#   cli_jobs: the 123 jobs of round 0 of the cli-jobs benchmark workload
+#     (bench/workloads.py) at seeds 1 to 3: kappa, maslov and tau at ranks
+#     1 and 2, witt and disc with 20-bit prime factors, hilbert and the
+#     malformed jobs, all over Q (the eliminations over Q among them).
 GOLDEN_FILES = sorted((Path(__file__).parent / "data").glob("golden_*.json"))
 
 
@@ -447,6 +452,8 @@ def _golden_job_id(name, argv):
         return " ".join(argv[2:5:2])
     if name == "symbol":
         return " ".join(a for a in argv if a != "--field")
+    if name == "cli_jobs":
+        return argv[0]
     return " ".join(argv[:3])
 
 

@@ -56,7 +56,7 @@ from maslov.sampling import (
     rng_for,
 )
 from maslov.symbols import compare_stbg_maslov
-from maslov.witt import SHatElement, witt_class
+from maslov.witt import SHatElement, WittClass, witt_class
 from oracles import (
     based_triple_from_witnesses,
     block_sum,
@@ -373,12 +373,21 @@ EDGE_CONTEXTS = [(c, n) for c in (Q, F5, F9, QI, FieldCtx("QSqrt", d=2))
 @pytest.mark.parametrize("ctx,n", EDGE_CONTEXTS, ids=str)
 def test_edge_cochain_equals_its_frame_reading(ctx, n):
     # one pairing h(w, v) against the base change read in the frame of
-    # the pair, on every edge of seeded based triples in both directions
+    # the pair, on every edge of seeded based triples in both directions;
+    # in symplectic contexts the determinant lift, built trusted, against
+    # the checked constructor on the same entries
     sp = HyperbolicSpace(ctx, n)
+    symplectic = ctx.has_trivial_involution and ctx.epsilon == 1
     for trial in range(8):
         bt = random_based_triple(sp, rng_for(113, trial))
         for v, w in itertools.permutations((bt.v0, bt.v1, bt.v2), 2):
-            assert cocycle._edge_det(v, w) == frame_edge_det(v, w)
+            det = cocycle._edge_det(v, w)
+            assert det == frame_edge_det(v, w)
+            if symplectic:
+                lift = cocycle._edge_det_form(v, w)
+                checked = WittClass(ctx, [det] + [ctx.one()] * (n - 1))
+                assert ((lift.diag, lift._key(), hash(lift))
+                        == (checked.diag, checked._key(), hash(checked)))
 
 
 def test_based_triple_builds_its_frame_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Exact matrix operations over each field kind."""
 
+import functools
 import itertools
 import operator
 import random
@@ -15,6 +16,10 @@ from maslov.linalg import Matrix
 from oracles import (
     PairOracle,
     PrimeFieldOracle,
+    OperatorOracle,
+    field_det,
+    field_inverse,
+    field_rref,
     kernel_basis,
     rank,
     termwise_product,
@@ -155,28 +160,6 @@ def oracle_inverse(a):
     return out
 
 
-def oracle_rref(a):
-    a = [list(r) for r in a]
-    m, n = len(a), len(a[0])
-    pivots, r = [], 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        lead = a[r][c]
-        a[r] = [x / lead for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
-
-
 def same(mat, rows):
     return [list(r) for r in mat.rows] == [list(r) for r in rows]
 
@@ -214,7 +197,7 @@ def test_kernels_match_scalar_arithmetic(ctx):
                 a.inverse()
         for mat, rows in ((a, a_rows), (b, b_rows), (b.jt(), b.jt().rows)):
             red, pivots = mat.rref()
-            want, want_pivots = oracle_rref(rows)
+            want, want_pivots = field_rref(OperatorOracle, ctx.zero(), rows)
             assert same(red, want) and pivots == want_pivots
 
 
@@ -359,3 +342,93 @@ def test_products_match_the_termwise_product(ctx):
             parts = [x for r in got for e in r
                      for x in (e if ctx.kind == "QSqrt" else (e,))]
             assert all(type(x) is Fraction for x in parts)
+
+
+# The fraction-free eliminations of the Q and Q(sqrt(d)) kernels against
+# elimination with field division (tests/oracles.py), on raw values: equal
+# determinants, inverses, reduced forms and pivots, and SingularInput on the
+# same inputs.  Square matrices of sizes 0 to 6 come random, singular (the
+# last row a combination of the others) or needing a row swap at every
+# step (an upper triangular matrix with its first row moved last); a fifth
+# of those of size at most 4 have 200-bit numerators and denominators.  In
+# Q(sqrt(5)), d = 1 (mod 4), so Z[sqrt(d)] is not the ring of integers and
+# the exact division has to stay in Z[sqrt(d)].
+
+RATIONAL_CTXS = [FieldCtx("Q")] + [FieldCtx("QSqrt", d=d)
+                                   for d in (2, -1, -5, 5)]
+RREF_SHAPES = [(1, 3), (3, 1), (2, 5), (5, 2), (4, 6), (6, 3), (3, 0),
+               (0, 0)]
+
+
+def elimination_inputs(ctx, rng, ops, zero):
+    def rational(bits):
+        if rng.random() < 0.2:
+            return Fraction(0)
+        if bits:
+            return Fraction(rng.getrandbits(bits) - (1 << bits - 1),
+                            rng.getrandbits(bits) | 1)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    def entry(bits=0):
+        return rational(bits) if ctx.kind == "Q" else (rational(bits),
+                                                       rational(bits))
+
+    def nonzero(bits):
+        while (x := entry(bits)) == zero:
+            pass
+        return x
+
+    square = []
+    for trial in range(105):
+        n, kind = trial % 7, trial // 7 % 3
+        bits = 200 if trial % 5 == 4 and n <= 4 else 0
+        a = [[entry(bits) for _ in range(n)] for _ in range(n)]
+        if kind == 1 and n:
+            coeffs = [entry() for _ in range(n - 1)]
+            a[-1] = [functools.reduce(ops.add, (ops.mul(c, r[j]) for c, r
+                                                in zip(coeffs, a)), zero)
+                     for j in range(n)]
+        elif kind == 2 and n:
+            a = [[zero if j < i else nonzero(bits) if j == i else entry(bits)
+                  for j in range(n)] for i in range(n)]
+            a = a[1:] + a[:1]
+        square.append(tuple(map(tuple, a)))
+    other = [tuple(tuple(entry(200 if i % 2 else 0) for _ in range(n))
+                   for _ in range(m)) for i, (m, n) in enumerate(RREF_SHAPES)]
+    return square, other
+
+
+def only_fractions(value):
+    if isinstance(value, (tuple, list)):
+        return all(only_fractions(v) for v in value)
+    return type(value) is Fraction
+
+
+@pytest.mark.parametrize("ctx", RATIONAL_CTXS, ids=repr)
+def test_fraction_free_elimination_matches_field_division(ctx):
+    k = ctx.kernel
+    if ctx.kind == "Q":
+        ops, zero, one = OperatorOracle, Fraction(0), Fraction(1)
+    else:
+        ops, zero, one = PairOracle(ctx.d), k.zero, k.one
+    rng = random.Random(f"bareiss:{ctx!r}")
+    square, other = elimination_inputs(ctx, rng, ops, zero)
+    singular = 0
+    for a in square:
+        det = k.det(a)
+        assert det == field_det(ops, zero, one, a) and only_fractions(det)
+        if det == zero:
+            singular += 1
+            with pytest.raises(SingularInput):
+                field_inverse(ops, zero, one, a)
+            with pytest.raises(SingularInput):
+                k.inverse(a)
+        else:
+            inv = k.inverse(a)
+            assert inv == field_inverse(ops, zero, one, a)
+            assert only_fractions(inv)
+    for a in square + other:
+        red = k.rref(a)
+        assert red == field_rref(ops, zero, a) and only_fractions(red[0])
+    # the singular inputs, and the zero rows among the random ones
+    assert 30 <= singular < len(square)

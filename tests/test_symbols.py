@@ -161,6 +161,17 @@ def test_steinberg_relations_exhaustive(p):
     assert report["ok"], report["violations"]
 
 
+def test_steinberg_relations_take_ints_and_refuse_other_fields():
+    # ints enter as elements of the field; scalars of another field are
+    # refused before any relation runs
+    as_ints = steinberg_relations_report(F5, [(2, 3, 4), (1, 5, 2)])
+    as_scalars = steinberg_relations_report(F5, [
+        tuple(map(F5.from_int, triple)) for triple in ((2, 3, 4), (1, 5, 2))])
+    assert as_ints == as_scalars and as_ints["checks"]["additivity"] == 1
+    with pytest.raises(ValidationError, match="is not an element of F5"):
+        steinberg_relations_report(F5, [tuple(map(F7.from_int, (2, 3, 4)))])
+
+
 def test_steinberg_relations_random_q():
     import random
 

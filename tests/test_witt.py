@@ -60,6 +60,25 @@ def wc(ctx, entries):
 # witt_class / witt_is_zero
 
 
+@pytest.mark.parametrize("ctx,eps", [(Q, 1), (QI, 1), (QI, -1), (F5, 1),
+                                     (F9, 1), (Q, -1)], ids=str)
+def test_witt_class_builds_what_the_checked_constructor_builds(ctx, eps):
+    # witt_class builds its class trusted; the checked constructor accepts
+    # the same diagonal and builds a class with equal diagonal, key and
+    # hash.  The skew class over Q keeps its empty representative.
+    rng = random.Random(f"trusted witt:{ctx!r}:{eps}")
+    for n in (1, 2, 3, 4):
+        if eps == -1 and ctx.has_trivial_involution and n % 2:
+            continue
+        for _ in range(6):
+            w = witt_class(random_hermitian_invertible(ctx, n, rng, eps))
+            checked = WittClass(ctx, w.diag, eps)
+            assert ((w.diag, w._key(), hash(w))
+                    == (checked.diag, checked._key(), hash(checked)))
+            if eps == -1 and ctx.has_trivial_involution:
+                assert w.diag == ()
+
+
 def test_witt_class_examples():
     assert wc(Q, [1, -1]).is_zero()
     four = wc(Q, [1, 1, 1, 1])
