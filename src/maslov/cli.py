@@ -15,7 +15,6 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .errors import (
     MaslovError,
@@ -24,7 +23,7 @@ from .errors import (
     TooLarge,
     WrongContext,
 )
-from .fields import INF, FieldCtx
+from .fields import INF, FieldCtx, _parse_rational
 from .forms import FormMatrix
 from .lagrange import (
     HyperbolicSpace,
@@ -82,6 +81,9 @@ def parse_field(text: str):
         spec = json.loads(text)
     except json.JSONDecodeError:
         spec = {"kind": text}
+    except ValueError as exc:
+        # JSON, but an int literal past sys.get_int_max_str_digits()
+        raise ParseError(f"bad field descriptor: {exc}") from exc
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParseError("field descriptor needs a 'kind'")
     return spec, FieldCtx(spec["kind"], p=spec.get("p"), d=spec.get("d"),
@@ -171,7 +173,7 @@ def cmd_hilbert(ctx, inputs, args):
     if ctx.kind != "Q":
         raise WrongContext("Hilbert symbols need a Q context")
     try:
-        a, b = Fraction(str(inputs["a"])), Fraction(str(inputs["b"]))
+        a, b = _parse_rational(inputs["a"]), _parse_rational(inputs["b"])
         place = inputs["place"]
         place = INF if place in (INF, "oo") else int(str(place))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -360,7 +362,8 @@ def run(argv=None) -> int:
                 with _open(raw[1:], "r") as fh:
                     raw = fh.read()
             inputs = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:
+            # bad JSON, bad UTF-8, or an int literal too long to convert
             raise ParseError(f"bad input JSON: {exc}") from exc
         if not isinstance(inputs, dict):
             raise ParseError("input JSON must be an object")

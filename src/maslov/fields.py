@@ -10,6 +10,8 @@ Four kinds of base field are supported, each with its involution J:
 Characteristic 2 is excluded by construction.  Each field has one
 arithmetic kernel on raw values; its scalars are Fractions over Q and
 ``Scalar`` objects over the other kinds, immutable, hashable and exact.
+Every kernel supplies one elimination, and ``_Kernel`` builds det,
+inverse and rref on it once for all four.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
+import sys
 import weakref
 from fractions import Fraction
 from functools import lru_cache
@@ -193,8 +197,9 @@ def _factor_large(n: int, budget: list) -> list:
         return [n]
     # the gcd with the small primes left no prime below 20000 > 2^14, so
     # n = r^k has k <= bits / 14; rho would need about r^(1/2) steps to
-    # split it
-    for k in range(2, n.bit_length() // 14 + 1):
+    # split it.  A prime k is enough: r^(ab) = (r^a)^b, and the recursion
+    # on r splits the rest
+    for k in filter(is_prime, range(2, n.bit_length() // 14 + 1)):
         r = math.isqrt(n) if k == 2 else _kth_root(n, k)
         if r ** k == n:
             return sorted(_factor_large(r, budget) * k)
@@ -246,6 +251,24 @@ def check_sign(s, name: str) -> None:
     """Refuse the sign s, called name, unless it is the int +1 or -1."""
     if type(s) is not int or s not in (1, -1):
         raise ValidationError(f"{name} must be +1 or -1")
+
+
+# a decimal exponent as Fraction reads one: the mantissa, the exponent
+_EXPONENT = re.compile(r"\s*[-+]?([\d_.]*)e([-+]?[\d_]+)\s*", re.I)
+
+
+def _parse_rational(v) -> Fraction:
+    """The rational the decimal text of v names, as Fraction reads it
+    ("-3/4", "0.2", "15e-1").  A mantissa and decimal exponent together
+    wider than sys.get_int_max_str_digits() digits raise ParseError, before
+    Fraction builds the power of ten, as a digit string that wide is
+    refused; other bad text raises ValueError."""
+    text = str(v)
+    m = _EXPONENT.fullmatch(text)
+    limit = sys.get_int_max_str_digits()
+    if m and limit and sum(map(str.isdigit, m[1])) + abs(int(m[2])) > limit:
+        raise ParseError(f"bad scalar {text!r}: wider than {limit} digits")
+    return Fraction(text)
 
 
 def legendre(a: int, p: int) -> int:
@@ -316,16 +339,50 @@ class Scalar:
 # hold.  Each has name (the field in FieldCtx's repr), zero, one, wrap (raw
 # -> scalar), unwrap (scalar or int -> raw; elements of another field
 # raise), conj, neg, add, sub, mul, inv, scale(u, c) = u c on a row u, and
-# on tuples of raw rows its own matmul(a, b), det(a), inverse(a) (raising
-# SingularInput) and rref(a) -> (rows, pivot columns).  The kernels behind
-# ``Scalar`` add div and show (raw -> repr), the quadratic ones gen.
+# on tuples of raw rows its own matmul(a, b).  det(a), inverse(a) (raising
+# SingularInput) and rref(a) -> (rows, pivot columns) are written once, in
+# _Kernel.  The kernels behind ``Scalar`` add div and show (raw -> repr),
+# the quadratic ones gen.
 
 
 class _Kernel:
-    """What the kernels whose scalars are ``Scalar`` share: ``embed`` maps
+    """det, inverse and rref on tuples of raw rows, for every kernel, from
+    three methods of its own:
+
+      * _eliminate(a, width, below) lifts the raw rows a into the kernel's
+        elimination domain, with their row scales, and eliminates them on
+        their first width columns: Gauss-Jordan, or with below only the
+        rows under each pivot (a forward pass).  It returns (rows, pivots,
+        p, den): the eliminated rows, their pivot columns, the p that
+        Gauss-Jordan leaves in every pivot column, and an int den; after a
+        forward pass a square a of full rank has determinant p / den;
+      * _over(rows, p) maps Gauss-Jordan rows back to tuples of raw
+        values, each over p;
+      * _quotient(p, den) is the raw value p / den.
+
+    The kernels whose scalars are ``Scalar`` share the rest: ``embed`` maps
     the rationals of type ``rationals`` to raw values."""
 
     rationals = (int,)
+
+    def det(self, a):
+        n = len(a)
+        _, pivots, p, den = self._eliminate(a, n, True)
+        return self.zero if len(pivots) < n else self._quotient(p, den)
+
+    def inverse(self, a):
+        # [A | I], eliminated on A's columns, becomes p [I | A^-1]
+        n, z = len(a), (self.zero,)
+        rows, pivots, p, _ = self._eliminate(
+            [r + z * i + (self.one,) + z * (n - 1 - i)
+             for i, r in enumerate(a)], n, False)
+        if len(pivots) < n:
+            raise SingularInput("matrix is singular")
+        return self._over([r[n:] for r in rows], p)
+
+    def rref(self, a):
+        rows, pivots, p, _ = self._eliminate(a, len(a[0]) if a else 0, False)
+        return self._over(rows, p), pivots
 
     def wrap(self, raw):
         return Scalar(self, raw)
@@ -352,69 +409,47 @@ class _FiniteKernel(_Kernel):
     """What F_p and F_{p^2} share: elimination with field division, one
     inverse per pivot, on rows through axpy(u, f, v) = u - f v and scale."""
 
-    def _gauss_jordan(self, a):
-        # the list of rows a to reduced row echelon form in place; returns
-        # the pivot columns
+    def _eliminate(self, a, width, below):
+        # field division on a list of the raw rows a, which need no lift:
+        # each pivot row is scaled to one in its pivot column, so p is one,
+        # except in a forward pass, where p is the product of the pivots and
+        # den the sign of the row swaps
+        a, zero, one = list(a), self.zero, self.one
         m = len(a)
-        n = len(a[0]) if a else 0
-        zero = self.zero
-        pivots = []
-        r = 0
-        for c in range(n):
-            piv = None
+        pivots, p, sign = [], one, 1
+        for c in range(width):
+            r = len(pivots)
             for i in range(r, m):
                 if a[i][c] != zero:
-                    piv = i
                     break
-            if piv is None:
+            else:
                 continue
-            a[r], a[piv] = a[piv], a[r]
-            a[r] = self.scale(a[r], self.inv(a[r][c]))
-            for i in range(m):
+            if i != r:
+                a[r], a[i] = a[i], a[r]
+                sign = -sign
+            row = a[r]
+            lead = row[c]
+            if lead != one:
+                if below:
+                    p = self.mul(p, lead)
+                # a forward pass never uses its last pivot row
+                if not below or r + 1 < m:
+                    row = a[r] = self.scale(row, self.inv(lead))
+            for i in range(r + 1 if below else 0, m):
                 if i != r and a[i][c] != zero:
-                    a[i] = self.axpy(a[i], a[i][c], a[r])
+                    a[i] = self.axpy(a[i], a[i][c], row)
             pivots.append(c)
-            r += 1
-            if r == m:
+            if r + 1 == m:
                 break
-        return pivots
+        return a, pivots, p, sign
 
-    def det(self, a):
-        zero = self.zero
-        n = len(a)
-        a = list(a)
-        det = self.one
-        for c in range(n):
-            piv = None
-            for i in range(c, n):
-                if a[i][c] != zero:
-                    piv = i
-                    break
-            if piv is None:
-                return zero
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = self.neg(det)
-            det = self.mul(det, a[c][c])
-            inv = self.inv(a[c][c])
-            for i in range(c + 1, n):
-                if a[i][c] != zero:
-                    a[i] = self.axpy(a[i], self.mul(a[i][c], inv), a[c])
-        return det
+    @staticmethod
+    def _over(rows, p):
+        # p is one
+        return tuple(map(tuple, rows))
 
-    def inverse(self, a):
-        n, z = len(a), (self.zero,)
-        rows = [r + z * i + (self.one,) + z * (n - 1 - i)
-                for i, r in enumerate(a)]
-        # [A | I] has rank n; A is invertible iff its pivots are A's columns
-        if n and self._gauss_jordan(rows)[-1] >= n:
-            raise SingularInput("matrix is singular")
-        return tuple(tuple(r[n:]) for r in rows)
-
-    def rref(self, a):
-        rows = list(a)
-        pivots = self._gauss_jordan(rows)
-        return tuple(map(tuple, rows)), pivots
+    def _quotient(self, p, den):
+        return p if den == 1 else self.neg(p)
 
 
 class _FpKernel(_FiniteKernel):
@@ -511,7 +546,7 @@ def _over_lcm(vectors):
 # entry at the end.
 
 
-def _bareiss(a, width, below=False):
+def _bareiss(a, width, below):
     """Bareiss elimination of the list of int rows a in place, on their
     first width columns: Gauss-Jordan, or with below only the rows under
     each pivot.  Every pivot row ends with the last pivot in its pivot
@@ -540,7 +575,7 @@ def _bareiss(a, width, below=False):
     return pivots, prev, sign
 
 
-def _bareiss_sqrt(a, d, width, below=False):
+def _bareiss_sqrt(a, d, width, below):
     """_bareiss on rows of int pairs (x, y) for x + y sqrt(d).  Entries stay
     in Z[sqrt(d)]; a step divides exactly in that ring, multiplying by the
     conjugate of the previous pivot and dividing by its integer norm."""
@@ -608,51 +643,25 @@ class _QuadKernel(_Kernel):
             + [[d * b for _, b in r] + [a for a, _ in r] for r in y])
         return tuple(tuple(zip(r[:n], r[n:])) for r in z)
 
-    def _int_rows(self, a):
-        # each row of pairs as (n, its pairs times n as int pairs), n the
-        # lcm of the denominators of both parts
-        return [(n, list(zip(v[::2], v[1::2])))
-                for n, v in _over_lcm([x for e in r for x in e] for r in a)]
+    def _eliminate(self, a, width, below):
+        # each row of pairs goes over the lcm of the denominators of both
+        # parts, as int pairs
+        lifted = _over_lcm([x for e in r for x in e] for r in a)
+        rows = [list(zip(v[::2], v[1::2])) for _, v in lifted]
+        pivots, p, sign = _bareiss_sqrt(rows, self.d, width, below)
+        return rows, pivots, p, sign * math.prod(l for l, _ in lifted)
 
-    def det(self, a):
-        rows = self._int_rows(a)
-        ints = [v for _, v in rows]
-        pivots, (pa, pb), sign = _bareiss_sqrt(ints, self.d, len(ints),
-                                               below=True)
-        if len(pivots) < len(ints):
-            return self.zero
-        n = math.prod(l for l, _ in rows)
-        return (Fraction(sign * pa, n), Fraction(sign * pb, n))
-
-    def _reduce(self, rows, width):
-        # Gauss-Jordan on the int pair rows in place; returns the pivot
-        # columns and the map of a row to its entries x over the last pivot
-        # p, as x conj(p) / N(p) in Fractions
-        d = self.d
-        pivots, (pa, pb), _ = _bareiss_sqrt(rows, d, width)
+    def _over(self, rows, p):
+        # x / p = x conj(p) / N(p), in Fractions
+        (pa, pb), d = p, self.d
         dpb, norm = d * pb, pa * pa - d * pb * pb
+        return tuple(tuple([(Fraction(xa * pa - xb * dpb, norm),
+                             Fraction(xb * pa - xa * pb, norm))
+                            for xa, xb in r]) for r in rows)
 
-        def over(r):
-            return tuple([(Fraction(xa * pa - xb * dpb, norm),
-                           Fraction(xb * pa - xa * pb, norm))
-                          for xa, xb in r])
-        return pivots, over
-
-    def inverse(self, a):
-        # [L A | L] for L the diagonal of the row lcms becomes [p I | p A^-1]
-        n = len(a)
-        rows = [v + [(0, 0)] * i + [(l, 0)] + [(0, 0)] * (n - 1 - i)
-                for i, (l, v) in enumerate(self._int_rows(a))]
-        pivots, over = self._reduce(rows, n)
-        if len(pivots) < n:
-            raise SingularInput("matrix is singular")
-        return tuple(over(r[n:]) for r in rows)
-
-    def rref(self, a):
-        # the row lcms scale rows, which leaves the reduced form alone
-        rows = [v for _, v in self._int_rows(a)]
-        pivots, over = self._reduce(rows, len(a[0]) if a else 0)
-        return tuple(map(over, rows)), pivots
+    @staticmethod
+    def _quotient(p, den):
+        return (Fraction(p[0], den), Fraction(p[1], den))
 
     def scale(self, u, f):
         c, e = f
@@ -660,11 +669,12 @@ class _QuadKernel(_Kernel):
         return [(a * c + b * ed, a * e + b * c) for a, b in u]
 
 
-class _ScalarKernel:
+class _ScalarKernel(_Kernel):
     """Q on Fractions: the raw value is the scalar itself."""
 
     name, zero, one = "Q", _F0, _F1
     neg, add, sub, mul = operator.neg, operator.add, operator.sub, operator.mul
+    _quotient = staticmethod(Fraction)
 
     def __init__(self):
         self.wrap = self.conj = lambda a: a
@@ -688,32 +698,15 @@ class _ScalarKernel:
                             for m, c in cols]) for n, a in _over_lcm(x))
 
     @staticmethod
-    def det(a):
-        rows = _over_lcm(a)
-        ints = [v for _, v in rows]
-        pivots, p, sign = _bareiss(ints, len(ints), below=True)
-        if len(pivots) < len(ints):
-            return _F0
-        return Fraction(sign * p, math.prod(l for l, _ in rows))
+    def _eliminate(a, width, below):
+        lifted = _over_lcm(a)
+        rows = [v for _, v in lifted]
+        pivots, p, sign = _bareiss(rows, width, below)
+        return rows, pivots, p, sign * math.prod(l for l, _ in lifted)
 
     @staticmethod
-    def inverse(a):
-        # [L A | L] for L the diagonal of the row lcms becomes [p I | p A^-1]
-        n = len(a)
-        rows = [v + [0] * i + [l] + [0] * (n - 1 - i)
-                for i, (l, v) in enumerate(_over_lcm(a))]
-        pivots, p, _ = _bareiss(rows, n)
-        if len(pivots) < n:
-            raise SingularInput("matrix is singular")
-        return tuple(tuple([Fraction(x, p) for x in r[n:]]) for r in rows)
-
-    @staticmethod
-    def rref(a):
-        # the row lcms scale rows, which leaves the reduced form alone
-        rows = [v for _, v in _over_lcm(a)]
-        pivots, p, _ = _bareiss(rows, len(a[0]) if a else 0)
-        return tuple(tuple([Fraction(x, p) for x in r])
-                     for r in rows), pivots
+    def _over(rows, p):
+        return tuple(tuple([Fraction(x, p) for x in r]) for r in rows)
 
 
 _KERNELS = weakref.WeakValueDictionary()
@@ -864,7 +857,7 @@ class FieldCtx:
             if isinstance(v, (list, tuple)):
                 if len(v) != 2:
                     raise ParseError(f"scalar pair must have 2 entries: {v!r}")
-                a, b = Fraction(str(v[0])), Fraction(str(v[1]))
+                a, b = _parse_rational(v[0]), _parse_rational(v[1])
                 if self.kind == "Fp2":
                     if a.denominator != 1 or b.denominator != 1:
                         raise ParseError("F_{p^2} components must be integers")
@@ -873,7 +866,7 @@ class FieldCtx:
                 if self.kind == "QSqrt":
                     return self.kernel.wrap((a, b))
                 raise ParseError(f"pair scalar invalid for field {self.kind}")
-            return self.from_rational(Fraction(str(v)))
+            return self.from_rational(_parse_rational(v))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad scalar {v!r}: {exc}") from exc
 

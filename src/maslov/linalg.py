@@ -3,9 +3,11 @@
 Everything is immutable and exact.  A matrix holds the raw values of its
 context's arithmetic kernel (``FieldCtx.kernel``) and computes on them;
 scalars appear only at the boundary (``Matrix(ctx, rows)``, ``rows`` and
-``det``).  Each kernel does its own products and eliminations: F_p and
-F_{p^2} eliminate with field division, Q and Q(sqrt(d)) fraction-free on
-integer rows, forming each Fraction once at the end.
+``det``).  Each kernel does its own products; ``det``, ``inverse`` and
+``rref`` are written once for every kernel (``fields._Kernel``) over its
+one elimination: with field division over F_p and F_{p^2}, fraction-free
+on integer rows over Q and Q(sqrt(d)), forming each Fraction once at the
+end.
 """
 
 from __future__ import annotations

@@ -89,15 +89,14 @@ def random_opposite_triple(space: HyperbolicSpace, rng):
 
 def random_opposite_quadruple(space: HyperbolicSpace, rng):
     """(gX, gY, g u_t Y, g u_t' Y) with all six oppositions; resamples
-    until t, t', t' - t and t^{-1} - t'^{-1} are all invertible."""
+    until t, t' and t' - t are all invertible.  Then so is
+    t^{-1} - t'^{-1} = t^{-1} (t' - t) t'^{-1}."""
     ctx = space.ctx
     x0, y0 = space.standard_pair()
     for _ in range(QUADRUPLE_TRIES):
         t = random_hermitian_invertible(ctx, space.n, rng)
         tp = random_hermitian_invertible(ctx, space.n, rng)
         if not (tp.mat - t.mat).is_invertible():
-            continue
-        if not (t.mat.inverse() - tp.mat.inverse()).is_invertible():
             continue
         g = random_unitary(space, rng)
         return (g(x0), g(y0), g(u_t(space, t)(y0)),

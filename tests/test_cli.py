@@ -335,7 +335,13 @@ def test_sampled_checks_run_up_to_the_rank_limit(capsys):
 
 def test_parse_error_exit_code():
     # malformed input: exit 2 with a named error and no traceback
+    ones = "1" * 5000  # past sys.get_int_max_str_digits() as a JSON int
     for argv, error in [
+        (("witt", "--input", '{"matrix":[[%s]]}' % ones), "ParseError"),
+        (("witt", "--field", '{"kind":"Fp","p":%s}' % ones, "--input",
+          '{"matrix":[["1"]]}'), "ParseError"),
+        (("hilbert", "--input", '{"a":%s,"b":2,"place":5}' % ones),
+         "ParseError"),
         (("witt", "--input", "{not json"), "ParseError"),
         (("kappa", "--input", '{"n":"abc"}'), "ParseError"),
         (("kappa", "--input", "[1]"), "ParseError"),
@@ -363,6 +369,22 @@ def test_parse_error_exit_code():
         assert proc.returncode == 2
         assert report_of(proc)["error"] == error
         assert "Traceback" not in proc.stderr
+
+
+def test_wide_decimal_exponents_exit_2_at_once(capsys):
+    # 1e10000000 is as wide as a digit string past the limit: refused
+    # before Fraction builds 10^10000000, which alone takes seconds
+    for job in (("witt", '{"matrix":[["1e10000000"]]}'),
+                ("witt", '{"matrix":[["1e-10000000"]]}'),
+                ("hilbert", '{"a":"1e10000000","b":2,"place":5}'),
+                ("hilbert", '{"a":2,"b":"-1e-10000000","place":5}')):
+        started = time.monotonic()
+        assert cli.run([job[0], "--input", job[1]]) == 2
+        assert time.monotonic() - started < 1
+        assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
+    assert cli.run(["witt", "--input", '{"matrix":[["1e4000"]]}']) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["outputs"]["witt"]["representative"] == ["1"]
 
 
 def test_precondition_error_surfaced():

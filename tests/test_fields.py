@@ -121,6 +121,11 @@ def test_factorize_splits_perfect_powers():
     assert factorize(m61**2 * q) == {m61: 2, q: 1}
     assert factorize(q**2 * m61) == {q: 2, m61: 1}
     assert factorize((m61 * q)**2 * 2**5) == {2: 5, q: 2, m61: 2}
+    # only prime exponents are tried: r^6 is (r^3)^2 and r^15 is (r^5)^3,
+    # and the recursion on the root splits the rest
+    assert factorize(19997**6 * 20011**4) == {19997: 6, 20011: 4}
+    assert factorize(q**15) == {q: 15}
+    assert factorize(m61**6 * q**4) == {m61: 6, q: 4}
 
 
 def _large_primes(rng, count):

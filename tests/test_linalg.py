@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from maslov.errors import DimensionMismatch, SingularInput, ValidationError
-from maslov.fields import FieldCtx, is_prime
+from maslov.fields import FieldCtx, Scalar, is_prime
 from maslov.lagrange import HyperbolicSpace
 from maslov.linalg import Matrix
 
@@ -344,23 +344,30 @@ def test_products_match_the_termwise_product(ctx):
             assert all(type(x) is Fraction for x in parts)
 
 
-# The fraction-free eliminations of the Q and Q(sqrt(d)) kernels against
-# elimination with field division (tests/oracles.py), on raw values: equal
-# determinants, inverses, reduced forms and pivots, and SingularInput on the
-# same inputs.  Square matrices of sizes 0 to 6 come random, singular (the
-# last row a combination of the others) or needing a row swap at every
-# step (an upper triangular matrix with its first row moved last); a fifth
-# of those of size at most 4 have 200-bit numerators and denominators.  In
+# Every kernel's det, inverse and rref against elimination with field
+# division (tests/oracles.py): equal determinants, inverses, reduced forms
+# and pivots, and SingularInput on the same inputs.  Square matrices of
+# sizes 0 to 6 come random, singular (the last row a combination of the
+# others) or needing a row swap at every step (an upper triangular matrix
+# with its first row moved last); non-square ones go to rref.  Over Q and
+# Q(sqrt(d)), which eliminate fraction-free, a fifth of the square matrices
+# of size at most 4 have 200-bit numerators and denominators, and in
 # Q(sqrt(5)), d = 1 (mod 4), so Z[sqrt(d)] is not the ring of integers and
-# the exact division has to stay in Z[sqrt(d)].
+# the exact division has to stay in Z[sqrt(d)].  Over F_p and F_{p^2} the
+# oracle computes on the field's Scalars, with Python's operators.
 
 RATIONAL_CTXS = [FieldCtx("Q")] + [FieldCtx("QSqrt", d=d)
                                    for d in (2, -1, -5, 5)]
+ELIMINATION_CTXS = RATIONAL_CTXS + [
+    FieldCtx("Fp", p=3), FieldCtx("Fp", p=5), FieldCtx("Fp2", p=3),
+    FieldCtx("Fp2", p=5)]
 RREF_SHAPES = [(1, 3), (3, 1), (2, 5), (5, 2), (4, 6), (6, 3), (3, 0),
                (0, 0)]
 
 
-def elimination_inputs(ctx, rng, ops, zero):
+def elimination_inputs(ctx, rng):
+    add, mul, zero = oracle_ops(ctx)
+
     def rational(bits):
         if rng.random() < 0.2:
             return Fraction(0)
@@ -370,6 +377,8 @@ def elimination_inputs(ctx, rng, ops, zero):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 
     def entry(bits=0):
+        if ctx.is_finite:
+            return zero if rng.random() < 0.2 else ctx.random_element(rng).raw
         return rational(bits) if ctx.kind == "Q" else (rational(bits),
                                                        rational(bits))
 
@@ -385,8 +394,8 @@ def elimination_inputs(ctx, rng, ops, zero):
         a = [[entry(bits) for _ in range(n)] for _ in range(n)]
         if kind == 1 and n:
             coeffs = [entry() for _ in range(n - 1)]
-            a[-1] = [functools.reduce(ops.add, (ops.mul(c, r[j]) for c, r
-                                                in zip(coeffs, a)), zero)
+            a[-1] = [functools.reduce(add, (mul(c, r[j]) for c, r
+                                            in zip(coeffs, a)), zero)
                      for j in range(n)]
         elif kind == 2 and n:
             a = [[zero if j < i else nonzero(bits) if j == i else entry(bits)
@@ -398,37 +407,54 @@ def elimination_inputs(ctx, rng, ops, zero):
     return square, other
 
 
-def only_fractions(value):
+def only(leaf, value):
     if isinstance(value, (tuple, list)):
-        return all(only_fractions(v) for v in value)
-    return type(value) is Fraction
+        return all(only(leaf, v) for v in value)
+    return type(value) is leaf
 
 
-@pytest.mark.parametrize("ctx", RATIONAL_CTXS, ids=repr)
+def raw_of(value):
+    # an oracle's result with each Scalar replaced by its raw value
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(raw_of, value))
+    return value.raw if isinstance(value, Scalar) else value
+
+
+@pytest.mark.parametrize("ctx", ELIMINATION_CTXS, ids=repr)
 def test_fraction_free_elimination_matches_field_division(ctx):
     k = ctx.kernel
-    if ctx.kind == "Q":
-        ops, zero, one = OperatorOracle, Fraction(0), Fraction(1)
-    else:
+    if ctx.kind == "QSqrt":
         ops, zero, one = PairOracle(ctx.d), k.zero, k.one
+    else:
+        ops, zero, one = OperatorOracle, ctx.zero(), ctx.one()
+    leaf = int if ctx.is_finite else Fraction
+
+    def scalars(a):
+        # PairOracle computes on raw pairs
+        if ctx.kind == "QSqrt":
+            return a
+        return tuple(tuple(map(k.wrap, r)) for r in a)
+
     rng = random.Random(f"bareiss:{ctx!r}")
-    square, other = elimination_inputs(ctx, rng, ops, zero)
+    square, other = elimination_inputs(ctx, rng)
     singular = 0
     for a in square:
         det = k.det(a)
-        assert det == field_det(ops, zero, one, a) and only_fractions(det)
-        if det == zero:
+        assert det == raw_of(field_det(ops, zero, one, scalars(a)))
+        assert only(leaf, det)
+        if det == k.zero:
             singular += 1
             with pytest.raises(SingularInput):
-                field_inverse(ops, zero, one, a)
+                field_inverse(ops, zero, one, scalars(a))
             with pytest.raises(SingularInput):
                 k.inverse(a)
         else:
             inv = k.inverse(a)
-            assert inv == field_inverse(ops, zero, one, a)
-            assert only_fractions(inv)
+            assert inv == raw_of(field_inverse(ops, zero, one, scalars(a)))
+            assert only(leaf, inv)
     for a in square + other:
         red = k.rref(a)
-        assert red == field_rref(ops, zero, a) and only_fractions(red[0])
+        assert red == raw_of(field_rref(ops, zero, scalars(a)))
+        assert only(leaf, red[0])
     # the singular inputs, and the zero rows among the random ones
     assert 30 <= singular < len(square)
