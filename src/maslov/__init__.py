@@ -2,13 +2,7 @@
 and Steinberg-symbol comparisons over Q, F_p, F_{p^2} and Q(sqrt(d))."""
 
 from .fields import FieldCtx, norm_subgroup_class
-from .forms import (
-    FormMatrix,
-    diagonalize,
-    is_isometric,
-    isometry_key,
-    radical_split,
-)
+from .forms import FormMatrix, diagonalize, is_isometric, isometry_key
 from .lagrange import (
     HyperbolicSpace,
     Lagrangian,

@@ -192,20 +192,25 @@ def cmd_lagrangians(ctx, inputs, args):
     return out, []
 
 
+def _count_trials(args, holds, name, count):
+    """The report and the one check of the seeded trials i with
+    holds(rng_for(seed, i)), their number reported as count."""
+    trials = args.trials
+    good = sum(holds(rng_for(args.seed, i)) for i in range(trials))
+    checks = [{"name": name, "pass": good == trials,
+               "detail": f"{good}/{trials}"}]
+    return {"trials": trials, count: good}, checks
+
+
 def _sampled_check(ctx, inputs, args, holds, name, count):
-    """Count the seeded trials i with holds(space, rng_for(seed, i)); ranks
-    past the limit of the field's characteristic are refused before any
-    sampling."""
+    """_count_trials of holds(space, rng); ranks past the limit of the
+    field's characteristic are refused before any sampling."""
     space = _space(ctx, inputs)
     limit = FINITE_RANK_LIMIT if ctx.is_finite else RANK_LIMIT
     if space.n > limit:
         raise TooLarge(f"rank {space.n} exceeds the limit {limit} "
                        "of the sampled checks")
-    trials = args.trials
-    good = sum(holds(space, rng_for(args.seed, i)) for i in range(trials))
-    checks = [{"name": name, "pass": good == trials,
-               "detail": f"{good}/{trials}"}]
-    return {"trials": trials, count: good}, checks
+    return _count_trials(args, lambda rng: holds(space, rng), name, count)
 
 
 def cmd_boundary_check(ctx, inputs, args):
@@ -277,21 +282,18 @@ def cmd_compare(ctx, inputs, args):
         return {"match": ok}, [{"name": "stbg-vs-reduced", "pass": ok,
                                 "detail": "single pair"}]
     _require_symplectic(ctx)
-    good = 0
-    for i in range(args.trials):
-        rng = rng_for(args.seed, i)
+
+    def matches(rng):
+        # the first generic pair the trial's stream draws
         while True:
             g1 = _det_one_matrices(ctx, rng)
             g2 = _det_one_matrices(ctx, rng)
             try:
-                if compare_stbg_maslov(g1, g2):
-                    good += 1
-                break
+                return compare_stbg_maslov(g1, g2)
             except NonGeneric:
                 continue
-    checks = [{"name": "stbg-vs-reduced", "pass": good == args.trials,
-               "detail": f"{good}/{args.trials}"}]
-    return {"trials": args.trials, "match": good}, checks
+
+    return _count_trials(args, matches, "stbg-vs-reduced", "match")
 
 
 def cmd_census(ctx, inputs, args):

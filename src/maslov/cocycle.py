@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
     WrongContext,
 )
-from .forms import FormMatrix, isometry_key, radical_split
+from .forms import FormMatrix, diagonalize, isometry_key
 from .lagrange import (
     HyperbolicSpace,
     Lagrangian,
@@ -39,6 +39,7 @@ from .linalg import Matrix
 from .witt import (
     SHatElement,
     WittClass,
+    _diagonal_class,
     _normalize_entry,
     signed_discriminant,
     witt_class,
@@ -106,10 +107,11 @@ def kashiwara_form(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> FormMatrix:
 
 
 def kashiwara_class(x: Lagrangian, y: Lagrangian, z: Lagrangian) -> WittClass:
-    """Witt class of the nondegenerate part of the Kashiwara form; agrees
-    with the cocycle on pairwise opposite triples."""
-    nondeg, _ = radical_split(kashiwara_form(x, y, z))
-    return witt_class(nondeg)
+    """Witt class of the nondegenerate part of the Kashiwara form, read off
+    its one diagonalization; agrees with the cocycle on pairwise opposite
+    triples."""
+    t = kashiwara_form(x, y, z)
+    return _diagonal_class(t.ctx, t.eps, diagonalize(t).diag)
 
 
 def tau(g: UnitaryElement, h: UnitaryElement,

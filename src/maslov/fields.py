@@ -10,8 +10,9 @@ Four kinds of base field are supported, each with its involution J:
 Characteristic 2 is excluded by construction.  Each field has one
 arithmetic kernel on raw values; its scalars are Fractions over Q and
 ``Scalar`` objects over the other kinds, immutable, hashable and exact.
-Every kernel supplies one elimination, and ``_Kernel`` builds det,
-inverse and rref on it once for all four.
+Two eliminations serve the four kernels, field division over F_p and
+F_{p^2} and one fraction-free loop over Q and Q(sqrt(d)), and ``_Kernel``
+builds det, inverse and rref on them once.
 """
 
 from __future__ import annotations
@@ -175,6 +176,9 @@ def _factorize_abs(n: int):
 # Pollard rho steps one factorize call may take before it gives up; a step
 # on a cofactor of w 128-bit words costs w^2 steps
 RHO_STEPS = 1 << 20
+# the widest cofactor factorize takes; a wider one is refused before its
+# primality test, whose Miller-Rabin powers alone would take seconds
+FACTOR_BITS = 4500
 _RHO_BATCH = 64
 
 
@@ -193,6 +197,9 @@ def _factor_large(n: int, budget: list) -> list:
     # steps left to the whole factorize call.
     if n == 1:
         return []
+    if n.bit_length() > FACTOR_BITS:
+        raise TooLarge(f"a {n.bit_length()}-bit cofactor is wider than the "
+                       f"{FACTOR_BITS} bits factorize takes")
     if is_prime(n):
         return [n]
     # the gcd with the small primes left no prime below 20000 > 2^14, so
@@ -349,7 +356,8 @@ class _Kernel:
     """det, inverse and rref on tuples of raw rows, for every kernel, from
     three methods of its own:
 
-      * _eliminate(a, width, below) lifts the raw rows a into the kernel's
+      * _eliminate(a, width, below), ``_FiniteKernel``'s or
+        ``_BareissKernel``'s, lifts the raw rows a into the kernel's
         elimination domain, with their row scales, and eliminates them on
         their first width columns: Gauss-Jordan, or with below only the
         rows under each pivot (a forward pass).  It returns (rows, pivots,
@@ -539,77 +547,52 @@ def _over_lcm(vectors):
     return out
 
 
-# Elimination over Q and Q(sqrt(d)) is fraction-free (E. H. Bareiss, Math.
-# Comp. 22, 1968; H. Cohen, GTM 138, Alg. 2.2.6): each row goes over the lcm
-# of its denominators, each step divides exactly by the previous pivot, and
-# the entries stay integers, minors of the input, until one Fraction per
-# entry at the end.
+class _BareissKernel(_Kernel):
+    """What Q and Q(sqrt(d)) share: fraction-free elimination (E. H.
+    Bareiss, Math. Comp. 22, 1968; H. Cohen, GTM 138, Alg. 2.2.6) in their
+    ring of integers Z or Z[sqrt(d)], whose (zero, one) is ``_ring``, over
+    two methods of the kernel:
+
+      * _lift(a) -> (rows, den): the raw rows a as lists over the ring, each
+        over the lcm of its denominators, and den the product of those row
+        scales;
+      * _step(p, prev) -> the row step (x, f, y) -> (p x - f y) / prev for
+        the pivot p, exact in the ring, its per-pivot constants computed
+        once.
+
+    The entries stay ring elements, minors of the input, until one
+    Fraction per entry at the end."""
+
+    def _eliminate(self, a, width, below):
+        # every pivot row ends with the last pivot p in its pivot column
+        a, den = self._lift(a)
+        zero, prev = self._ring
+        m = len(a)
+        pivots, sign = [], 1
+        for c in range(width):
+            r = len(pivots)
+            piv = next((i for i in range(r, m) if a[i][c] != zero), None)
+            if piv is None:
+                continue
+            if piv != r:
+                a[r], a[piv] = a[piv], a[r]
+                sign = -sign
+            row = a[r]
+            p = row[c]
+            # a forward pass has no row under its last pivot
+            if not below or r + 1 < m:
+                step = self._step(p, prev)
+                for i in range(r + 1 if below else 0, m):
+                    if i != r:
+                        a[i] = step(a[i], a[i][c], row)
+            prev = p
+            pivots.append(c)
+            if r + 1 == m:
+                break
+        return a, pivots, prev, sign * den
 
 
-def _bareiss(a, width, below):
-    """Bareiss elimination of the list of int rows a in place, on their
-    first width columns: Gauss-Jordan, or with below only the rows under
-    each pivot.  Every pivot row ends with the last pivot in its pivot
-    column.  Returns the pivot columns, the last pivot (1 if there is none)
-    and the sign of the row swaps."""
-    m = len(a)
-    pivots, prev, sign = [], 1, 1
-    for c in range(width):
-        r = len(pivots)
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        row = a[r]
-        p = row[c]
-        for i in range(r + 1 if below else 0, m):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
-        prev = p
-        pivots.append(c)
-        if r + 1 == m:
-            break
-    return pivots, prev, sign
-
-
-def _bareiss_sqrt(a, d, width, below):
-    """_bareiss on rows of int pairs (x, y) for x + y sqrt(d).  Entries stay
-    in Z[sqrt(d)]; a step divides exactly in that ring, multiplying by the
-    conjugate of the previous pivot and dividing by its integer norm."""
-    m = len(a)
-    pivots, prev, sign = [], (1, 0), 1
-    for c in range(width):
-        r = len(pivots)
-        piv = next((i for i in range(r, m) if a[i][c] != (0, 0)), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        row = a[r]
-        (pa, pb), (qa, qb) = row[c], prev
-        dpb, dqb, norm = d * pb, d * qb, qa * qa - d * qb * qb
-        for i in range(r + 1 if below else 0, m):
-            if i != r:
-                fa, fb = a[i][c]
-                dfb, out = d * fb, []
-                for (xa, xb), (ya, yb) in zip(a[i], row):
-                    za = pa * xa + dpb * xb - fa * ya - dfb * yb
-                    zb = pa * xb + pb * xa - fa * yb - fb * ya
-                    out.append(((za * qa - zb * dqb) // norm,
-                                (zb * qa - za * qb) // norm))
-                a[i] = out
-        prev = row[c]
-        pivots.append(c)
-        if r + 1 == m:
-            break
-    return pivots, prev, sign
-
-
-class _QuadKernel(_Kernel):
+class _QuadKernel(_BareissKernel):
     """Q(sqrt(d)) on Fraction pairs (a, b) for a + b sqrt(d)."""
 
     rationals = (int, Fraction)
@@ -643,13 +626,32 @@ class _QuadKernel(_Kernel):
             + [[d * b for _, b in r] + [a for a, _ in r] for r in y])
         return tuple(tuple(zip(r[:n], r[n:])) for r in z)
 
-    def _eliminate(self, a, width, below):
-        # each row of pairs goes over the lcm of the denominators of both
-        # parts, as int pairs
+    _ring = (0, 0), (1, 0)
+
+    @staticmethod
+    def _lift(a):
+        # int pairs, each row over the lcm of the denominators of both parts
         lifted = _over_lcm([x for e in r for x in e] for r in a)
-        rows = [list(zip(v[::2], v[1::2])) for _, v in lifted]
-        pivots, p, sign = _bareiss_sqrt(rows, self.d, width, below)
-        return rows, pivots, p, sign * math.prod(l for l, _ in lifted)
+        return ([list(zip(v[::2], v[1::2])) for _, v in lifted],
+                math.prod(n for n, _ in lifted))
+
+    def _step(self, p, prev):
+        # in Z[sqrt(d)]: times the conjugate of prev, then by its int norm
+        (pa, pb), (qa, qb), d = p, prev, self.d
+        pivot = pa, pb, d * pb, qa, qb, d * qb, qa * qa - d * qb * qb, d
+
+        def step(x, f, y):
+            # the pivot's constants as fast locals
+            pa, pb, dpb, qa, qb, dqb, norm, d = pivot
+            fa, fb = f
+            dfb, out = d * fb, []
+            for (xa, xb), (ya, yb) in zip(x, y):
+                za = pa * xa + dpb * xb - fa * ya - dfb * yb
+                zb = pa * xb + pb * xa - fa * yb - fb * ya
+                out.append(((za * qa - zb * dqb) // norm,
+                            (zb * qa - za * qb) // norm))
+            return out
+        return step
 
     def _over(self, rows, p):
         # x / p = x conj(p) / N(p), in Fractions
@@ -669,10 +671,10 @@ class _QuadKernel(_Kernel):
         return [(a * c + b * ed, a * e + b * c) for a, b in u]
 
 
-class _ScalarKernel(_Kernel):
+class _ScalarKernel(_BareissKernel):
     """Q on Fractions: the raw value is the scalar itself."""
 
-    name, zero, one = "Q", _F0, _F1
+    name, zero, one, _ring = "Q", _F0, _F1, (0, 1)
     neg, add, sub, mul = operator.neg, operator.add, operator.sub, operator.mul
     _quotient = staticmethod(Fraction)
 
@@ -698,11 +700,13 @@ class _ScalarKernel(_Kernel):
                             for m, c in cols]) for n, a in _over_lcm(x))
 
     @staticmethod
-    def _eliminate(a, width, below):
+    def _lift(a):
         lifted = _over_lcm(a)
-        rows = [v for _, v in lifted]
-        pivots, p, sign = _bareiss(rows, width, below)
-        return rows, pivots, p, sign * math.prod(l for l, _ in lifted)
+        return [v for _, v in lifted], math.prod(n for n, _ in lifted)
+
+    @staticmethod
+    def _step(p, prev):
+        return lambda x, f, y: [(p * a - f * b) // prev for a, b in zip(x, y)]
 
     @staticmethod
     def _over(rows, p):
@@ -813,10 +817,6 @@ class FieldCtx:
         if self.kind in ("Fp2", "QSqrt"):
             return self.kernel.wrap(self.kernel.gen)
         raise ValidationError("base field has no quadratic generator")
-
-    def involution(self, x):
-        k = self.kernel
-        return k.wrap(k.conj(k.unwrap(x)))
 
     def elements(self):
         if not self.is_finite:

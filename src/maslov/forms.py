@@ -152,13 +152,6 @@ def diagonalize(t: FormMatrix) -> Diagonalization:
     return Diagonalization(diag, n - rank, gm)
 
 
-def radical_split(t: FormMatrix):
-    """The form induced on a complement of the radical, plus radical dim."""
-    dg = diagonalize(t)
-    nondeg = FormMatrix._of(t.ctx, Matrix.diagonal(t.ctx, dg.diag), 1)
-    return nondeg, dg.radical_dim
-
-
 def hasse_invariant(entries, place) -> int:
     """Hasse invariant prod_{i<j} (a_i, a_j)_place of a rational diagonal
     form."""

@@ -441,9 +441,11 @@ class WittClass:
         return f"WittClass({list(self.diag)!r})"
 
 
-def _strip_hyperbolic(ctx, eps, diag):
-    """Drop pairs of entries whose class is zero, first pair first; this
-    only shortens the reported representative."""
+def _diagonal_class(ctx, eps, diag):
+    """The class of a nondegenerate diagonal form, its entries nonzero and
+    J-fixed.  Pairs of entries whose class is zero are dropped, first pair
+    first, which only shortens the reported representative, and the rest
+    normalized."""
     zero = _witt_key(ctx, eps, ())
     entries = list(diag)
     i = 0
@@ -455,7 +457,8 @@ def _strip_hyperbolic(ctx, eps, diag):
                 break
         else:
             i += 1
-    return tuple(entries)
+    return WittClass._of(ctx, tuple(_normalize_entry(ctx, e)
+                                    for e in entries), eps)
 
 
 def witt_class(t: FormMatrix) -> WittClass:
@@ -473,8 +476,7 @@ def witt_class(t: FormMatrix) -> WittClass:
     if degenerate:
         raise DegenerateInput("Witt class needs a nondegenerate form")
     # a nondegenerate hermitian form's diagonal is nonzero and J-fixed
-    return WittClass._of(ctx, tuple(_normalize_entry(ctx, e) for e in
-                                    _strip_hyperbolic(ctx, eps, diag)), eps)
+    return _diagonal_class(ctx, eps, diag)
 
 
 def trace_transfer(h: WittClass) -> WittClass:

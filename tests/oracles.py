@@ -12,8 +12,9 @@
 * Elimination with field division on raw values, one division per
   entry: Gauss-Jordan, the determinant and the inverse, the reference
   for the fraction-free eliminations of the kernels over Q and Q(sqrt(d)).
-* Form constructors: diagonal forms from rationals, direct sums and
-  congruent forms.
+* The involution of a scalar, read through its kernel.  Form
+  constructors: diagonal forms from rationals, direct sums, congruent
+  forms and the nondegenerate part of a form.
 * Congruence diagonalization on scalars, and the signature counted from
   it.
 * The Lagrangians of a finite module, found among all its subspaces;
@@ -49,6 +50,7 @@ from maslov.fields import INF, FieldCtx, legendre, squarefree_part
 from maslov.forms import (
     Diagonalization,
     FormMatrix,
+    diagonalize,
     hasse_invariant,
     isometry_key,
 )
@@ -311,7 +313,13 @@ def kernel_basis(m: Matrix):
 
 
 # ---------------------------------------------------------------------------
-# Form constructors
+# The involution and form constructors
+
+
+def involution(ctx, x):
+    """x^J for a scalar x of ctx (or an int or rational), by its kernel."""
+    k = ctx.kernel
+    return k.wrap(k.conj(k.unwrap(x)))
 
 
 def diagonal_rational(ctx, entries, eps=1):
@@ -338,6 +346,13 @@ def congruence(t: FormMatrix, g: Matrix) -> FormMatrix:
     return FormMatrix._of(t.ctx, g.jt() * t.mat * g, t.eps)
 
 
+def radical_split(t: FormMatrix):
+    """The form induced on a complement of the radical, plus radical dim."""
+    dg = diagonalize(t)
+    nondeg = FormMatrix._of(t.ctx, Matrix.diagonal(t.ctx, dg.diag), 1)
+    return nondeg, dg.radical_dim
+
+
 # ---------------------------------------------------------------------------
 # Diagonalization on scalars
 
@@ -357,7 +372,7 @@ def scalar_diagonalize(t: FormMatrix) -> Diagonalization:
     n = t.dim
     a = [list(row) for row in t.mat.rows]
     g = [list(row) for row in Matrix.identity(ctx, n).rows]
-    inv = ctx.involution
+    inv = functools.partial(involution, ctx)
 
     def col_addmul(dest, src, lam):
         # congruence by E = I + e_{src,dest} lam: col_dest += col_src*lam,

@@ -553,6 +553,21 @@ def test_witt_of_a_huge_entry_is_refused_at_once(capsys):
         assert "-bit cofactor takes over" in message
 
 
+def test_witt_of_an_entry_wider_than_factorize_takes_exits_2_at_once(capsys):
+    # a cofactor wider than fields.FACTOR_BITS is refused before its
+    # primality test, whose first Miller-Rabin power alone takes seconds
+    # on this 14 280-bit (4300-digit) entry
+    bits = 14280
+    n = random.Random(f"witt:{bits}").getrandbits(bits) | 1 << (bits - 1) | 1
+    matrix = json.dumps({"matrix": [[str(n)]]})
+    started = time.monotonic()
+    code, error, message = file_error(capsys, "--input", matrix)
+    assert time.monotonic() - started < 1
+    assert (code, error) == (2, "TooLarge")
+    assert message.endswith(
+        "-bit cofactor is wider than the 4500 bits factorize takes")
+
+
 def test_a_strong_pseudoprime_is_neither_a_field_nor_a_place(capsys):
     # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every
     # prime base up to 37: as a field order it is refused, and as a witt

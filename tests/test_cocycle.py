@@ -22,7 +22,7 @@ from maslov.errors import (
     WrongContext,
 )
 from maslov.fields import FieldCtx
-from maslov.forms import FormMatrix, is_isometric, radical_split
+from maslov.forms import FormMatrix, is_isometric
 from maslov.lagrange import (
     HyperbolicSpace,
     Lagrangian,
@@ -65,6 +65,7 @@ from oracles import (
     extend_lagrangian,
     extend_witt_class,
     frame_edge_det,
+    radical_split,
     triple_census,
     unitary_inverse,
     witnesses,

@@ -17,7 +17,6 @@ from maslov.forms import (
     diagonalize,
     is_isometric,
     isometry_key,
-    radical_split,
 )
 from maslov.linalg import Matrix
 from maslov.sampling import (
@@ -32,6 +31,7 @@ from oracles import (
     diagonal_rational,
     direct_sum,
     kernel_basis,
+    radical_split,
     scalar_diagonalize,
     signature_count,
 )

@@ -15,7 +15,7 @@ from maslov.errors import (
     ValidationError,
 )
 from maslov.fields import FieldCtx
-from maslov.forms import FormMatrix, is_isometric, radical_split
+from maslov.forms import FormMatrix, is_isometric
 from maslov.lagrange import (
     HyperbolicSpace,
     Lagrangian,
@@ -45,6 +45,7 @@ from oracles import (
     congruence,
     diagonal_rational,
     holonomy,
+    radical_split,
     rank,
     subspace_lagrangians,
     unitary_inverse,

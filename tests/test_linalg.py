@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from maslov import fields
 from maslov.errors import DimensionMismatch, SingularInput, ValidationError
 from maslov.fields import FieldCtx, Scalar, is_prime
 from maslov.lagrange import HyperbolicSpace
@@ -20,6 +21,7 @@ from oracles import (
     field_det,
     field_inverse,
     field_rref,
+    involution,
     kernel_basis,
     rank,
     termwise_product,
@@ -185,7 +187,7 @@ def test_kernels_match_scalar_arithmetic(ctx):
                             for rb, rc in zip(b_rows, c_rows)])
         assert same(-b, [[-x for x in r] for r in b_rows])
         assert same(b.scale(s), [[x * s for x in r] for r in b_rows])
-        assert same(b.jt(), [[ctx.involution(b_rows[i][j])
+        assert same(b.jt(), [[involution(ctx, b_rows[i][j])
                               for i in range(n)] for j in range(m)])
         d = oracle_det(a_rows)
         assert a.det() == d
@@ -458,3 +460,52 @@ def test_fraction_free_elimination_matches_field_division(ctx):
         assert only(leaf, red[0])
     # the singular inputs, and the zero rows among the random ones
     assert 30 <= singular < len(square)
+
+
+# fresh kernels, so that counting their row steps touches no shared one,
+# and generic entries: over p = 2^61 - 1 the seeded draws meet no zero
+P61 = 2**61 - 1
+STEP_KERNELS = {
+    "Q": (fields._ScalarKernel,
+          lambda rng: Fraction(rng.randint(-99, 99), rng.randint(1, 9))),
+    "QSqrt": (lambda: fields._QuadKernel(-1),
+              lambda rng: (Fraction(rng.randint(-99, 99), rng.randint(1, 9)),
+                           Fraction(rng.randint(-99, 99), rng.randint(1, 9)))),
+    "Fp": (lambda: fields._FpKernel(P61), lambda rng: rng.randrange(P61)),
+    "Fp2": (lambda: fields._Fp2Kernel(P61),
+            lambda rng: (rng.randrange(P61), rng.randrange(P61))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STEP_KERNELS))
+def test_elimination_makes_one_row_step_per_entry_it_clears(kind,
+                                                            monkeypatch):
+    # a forward pass clears the n(n-1)/2 entries under the diagonal and
+    # Gauss-Jordan the n(n-1) off it, one row step (axpy over F_p and
+    # F_{p^2}, the Bareiss step over Q and Q(sqrt(d))) each
+    make, entry = STEP_KERNELS[kind]
+    k = make()
+    steps = 0
+
+    def counted(step):
+        def wrapper(*args):
+            nonlocal steps
+            steps += 1
+            return step(*args)
+        return wrapper
+
+    if kind.startswith("Fp"):
+        monkeypatch.setattr(k, "axpy", counted(k.axpy))
+    else:
+        make_step = k._step
+        monkeypatch.setattr(k, "_step",
+                            lambda p, prev: counted(make_step(p, prev)))
+    rng = random.Random(f"steps:{kind}")
+    for n in range(2, 6):
+        a = tuple(tuple(entry(rng) for _ in range(n)) for _ in range(n))
+        steps = 0
+        assert k.det(a) != k.zero
+        assert steps == n * (n - 1) // 2
+        steps = 0
+        k.inverse(a)
+        assert steps == n * (n - 1)
