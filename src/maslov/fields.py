@@ -176,7 +176,8 @@ def _factorize_abs(n: int):
 # Pollard rho steps one factorize call may take before it gives up; a step
 # on a cofactor of w 128-bit words costs w^2 steps
 RHO_STEPS = 1 << 20
-# the widest cofactor factorize takes; a wider one is refused before its
+# the widest cofactor factorize takes, and the widest field order p and
+# Hilbert-symbol place an input may give; a wider one is refused before its
 # primality test, whose Miller-Rabin powers alone would take seconds
 FACTOR_BITS = 4500
 _RHO_BATCH = 64
@@ -743,6 +744,9 @@ class FieldCtx:
         self.d = d
         self.epsilon = epsilon
         if kind in ("Fp", "Fp2"):
+            if p is not None and p.bit_length() > FACTOR_BITS:
+                raise TooLarge(f"a {p.bit_length()}-bit p is wider than the "
+                               f"{FACTOR_BITS} bits a primality test takes")
             if p is None or not is_prime(p) or p == 2:
                 raise ValidationError(f"{kind} needs an odd prime p")
             make, args = (_FpKernel if kind == "Fp" else _Fp2Kernel), (p,)

@@ -82,45 +82,24 @@ class Diagonalization(NamedTuple):
 def diagonalize(t: FormMatrix) -> Diagonalization:
     """Exact congruence diagonalization of a (+1)-hermitian form.
 
-    Symmetric Gaussian elimination on the context kernel's raw values,
-    with the usual char != 2 repair: when the remaining diagonal
-    vanishes, a suitable column+row addition makes a pivot equal to 2.
-    While no step has moved the transform g from I, the witness
-    g^J t g = D (+) 0 is read as t == D.
+    Symmetric Gaussian elimination by row operations on [t | I], on the
+    context kernel's raw values.  One row update clears each entry under
+    a pivot and leaves the Schur complement, hermitian, in the trailing
+    block; the right block carries the rows of g^J.  When the remaining
+    diagonal vanishes, the usual char != 2 repair, a column+row addition,
+    makes a pivot equal to 2.  It and the symmetric swap are the only
+    column operations, on the trailing rows.  The first step that moves g
+    appends I; while none has, the witness g^J t g = D (+) 0 is read as
+    t == D.
     """
     if t.eps != 1:
         raise WrongSymmetry("only +1-hermitian forms are diagonalized")
     ctx, k, n = t.ctx, t.ctx.kernel, t.dim
-    zero, add, mul = k.zero, k.add, k.mul
+    zero, add, sub, mul, scale = k.zero, k.add, k.sub, k.mul, k.scale
     a = [list(row) for row in t.mat.raw]
-    g = []  # the transform's rows, built by the first step that moves it
-
-    def moved():
-        if not g:
-            g.extend(map(list, Matrix.identity(ctx, n).raw))
-        return g
-
-    def col_addmul(dest, src, lam):
-        # congruence by E = I + e_{src,dest} lam: col_dest += col_src*lam,
-        # row_dest += lam^J * row_src
-        for r in a:
-            r[dest] = add(r[dest], mul(r[src], lam))
-        lj, rd, rs = k.conj(lam), a[dest], a[src]
-        for j in range(n):
-            rd[j] = add(rd[j], mul(lj, rs[j]))
-        for r in moved():
-            r[dest] = add(r[dest], mul(r[src], lam))
-
-    def swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        a[i], a[j] = a[j], a[i]
-        for r in moved():
-            r[i], r[j] = r[j], r[i]
-
-    rank = n
+    rank, wide = n, False
     for c in range(n):
-        piv = c
+        piv, off = c, None
         while piv < n and a[piv][piv] == zero:
             piv += 1
         if piv == n:
@@ -129,25 +108,42 @@ def diagonalize(t: FormMatrix) -> Diagonalization:
             if off is None:
                 rank = c
                 break
+            piv = off[0]
+        if not wide and (off or piv != c
+                         or any(r[c] != zero for r in a[c + 1:])):
+            wide = True
+            for i, r in enumerate(a):
+                r += [zero] * n
+                r[n + i] = k.one
+        if off:
+            # congruence by I + e_ji lam: col_i += col_j lam, then
+            # row_i += lam^J row_j; makes a[i][i] = 2 exactly (char != 2)
             i, j = off
-            # makes a[i][i] = 2 exactly (char != 2)
-            col_addmul(i, j, k.inv(a[i][j]))
-            piv = i
+            lam = k.inv(a[i][j])
+            for r in a[c:]:
+                r[i] = add(r[i], mul(r[j], lam))
+            a[i][c:] = map(add, a[i][c:], scale(a[j][c:], k.conj(lam)))
         if piv != c:
-            swap(piv, c)
-        row = a[c]
-        for j in range(c + 1, n):
-            if row[j] != zero:
-                col_addmul(j, c, k.neg(mul(row[j], k.inv(row[c]))))
+            a[c], a[piv] = a[piv], a[c]
+            for r in a[c:]:
+                r[c], r[piv] = r[piv], r[c]
+        head, inv = a[c][c:], None
+        for i in range(c + 1, n):
+            f = a[i][c]
+            if f != zero:
+                inv = inv or k.inv(head[0])
+                a[i][c:] = map(sub, a[i][c:], scale(head, mul(f, inv)))
 
     diag = tuple(k.wrap(a[i][i]) for i in range(rank))
     d = Matrix.diagonal(ctx, diag + (k.wrap(zero),) * (n - rank))
-    if not g:
+    if not wide:
         gm, witness = Matrix.identity(ctx, n), t.mat
     else:
-        gm = Matrix._of(ctx, tuple(map(tuple, g)))
-        witness = gm.jt() * t.mat * gm
-    if witness != d:
+        gj = Matrix._of(ctx, tuple(tuple(r[n:]) for r in a))
+        gm = gj.jt()
+        witness = gj * t.mat * gm
+    # a singular g proves nothing; a full-rank D already forces g invertible
+    if witness != d or (rank < n and not gm.is_invertible()):
         raise ValidationError("diagonalization witness failed")  # safety net
     return Diagonalization(diag, n - rank, gm)
 

@@ -50,12 +50,12 @@ def random_hermitian(ctx, n, rng, eps=None, span=3) -> FormMatrix:
             return FormMatrix._of(ctx, m, eps)
 
 
-def random_hermitian_invertible(ctx, n, rng, eps=None, span=3) -> FormMatrix:
+def random_hermitian_invertible(ctx, n, rng, eps=None) -> FormMatrix:
     eps = ctx.epsilon if eps is None else eps
     if n % 2 and eps == -1 and ctx.has_trivial_involution:
         raise NotFound("alternating matrices of odd size are singular")
     while True:
-        f = random_hermitian(ctx, n, rng, eps, span)
+        f = random_hermitian(ctx, n, rng, eps)
         if f.mat.is_invertible():
             return f
 

@@ -31,12 +31,14 @@ from .errors import (
     ContextMismatch,
     DegenerateInput,
     NotHermitian,
+    TooLarge,
     ValidationError,
     WrongContext,
     ZeroInput,
     ZeroScalar,
 )
 from .fields import (
+    FACTOR_BITS,
     INF,
     FieldCtx,
     check_sign,
@@ -75,6 +77,9 @@ def hilbert_symbol(a, b, place) -> int:
     if place == INF:
         return -1 if (a < 0 and b < 0) else 1
     p = int(place)
+    if p.bit_length() > FACTOR_BITS:
+        raise TooLarge(f"a {p.bit_length()}-bit place is wider than the "
+                       f"{FACTOR_BITS} bits a primality test takes")
     if not is_prime(p):
         raise ValidationError(f"{place} is not a place of Q")
     sa = 1 if a > 0 else -1

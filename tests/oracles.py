@@ -7,6 +7,8 @@
 * Scalar arithmetic written as plain formulas: ints mod p, int pairs mod p
   with w^2 = nu, and Fraction pairs with w^2 = d.  They share no code with
   the field kernels they check.
+* A fresh kernel of each kind, with generic entries, for counting row
+  operations.
 * The matrix product on raw values, one oracle operation per term, and
   the rank and right kernel read off the reduced echelon form.
 * Elimination with field division on raw values, one division per
@@ -36,6 +38,7 @@ import operator
 import random
 from fractions import Fraction
 
+from maslov import fields
 from maslov.cocycle import BasedTriple, CensusResult, reduced_maslov
 from maslov.errors import (
     DimensionMismatch,
@@ -310,6 +313,26 @@ def kernel_basis(m: Matrix):
             v[c] = -red.rows[r][f]
         basis.append(v)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# Fresh kernels
+
+
+# a fresh kernel of each kind, so that counting its row operations touches
+# no shared one, and generic entries: over p = 2^61 - 1 the seeded draws
+# meet no zero
+P61 = 2**61 - 1
+STEP_KERNELS = {
+    "Q": (fields._ScalarKernel,
+          lambda rng: Fraction(rng.randint(-99, 99), rng.randint(1, 9))),
+    "QSqrt": (lambda: fields._QuadKernel(-1),
+              lambda rng: (Fraction(rng.randint(-99, 99), rng.randint(1, 9)),
+                           Fraction(rng.randint(-99, 99), rng.randint(1, 9)))),
+    "Fp": (lambda: fields._FpKernel(P61), lambda rng: rng.randrange(P61)),
+    "Fp2": (lambda: fields._Fp2Kernel(P61),
+            lambda rng: (rng.randrange(P61), rng.randrange(P61))),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: reports, determinism, exit codes."""
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -566,6 +567,34 @@ def test_witt_of_an_entry_wider_than_factorize_takes_exits_2_at_once(capsys):
     assert (code, error) == (2, "TooLarge")
     assert message.endswith(
         "-bit cofactor is wider than the 4500 bits factorize takes")
+
+
+def test_an_order_or_place_wider_than_factorize_takes_exits_2_at_once(capsys):
+    # a field order or a Hilbert place wider than fields.FACTOR_BITS is
+    # refused, by its width, before its primality test, whose Miller-Rabin
+    # powers took seconds on a random 14 280-bit number with no prime
+    # factor up to 41
+    bits, rng, n = 14280, random.Random("order:14280"), 0
+    while math.gcd(n, math.factorial(41)) != 1:
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+    witt = ["--input", '{"matrix":[["1"]]}']
+    for argv, name in (
+            (["witt", "--field", '{"kind":"Fp","p":%d}' % n, *witt], "p"),
+            (["witt", "--field", '{"kind":"Fp2","p":%d}' % n, *witt], "p"),
+            (["hilbert", "--input", json.dumps(
+                {"a": "2", "b": "3", "place": str(n)})], "place")):
+        started = time.monotonic()
+        code = cli.run(argv)
+        assert time.monotonic() - started < 1
+        report = json.loads(capsys.readouterr().out)
+        assert (code, report["error"]) == (2, "TooLarge")
+        assert report["message"] == (
+            f"a {bits}-bit {name} is wider than the 4500 bits a primality "
+            "test takes")
+    # a 127-bit order is no wider than a primality test takes
+    assert cli.run(["witt", "--field", '{"kind":"Fp","p":%d}' % (2**127 - 1),
+                    *witt]) == 0
+    capsys.readouterr()
 
 
 def test_a_strong_pseudoprime_is_neither_a_field_nor_a_place(capsys):

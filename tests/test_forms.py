@@ -27,6 +27,8 @@ from maslov.sampling import (
 )
 from maslov.witt import witt_class
 from oracles import (
+    P61,
+    STEP_KERNELS,
     congruence,
     diagonal_rational,
     direct_sum,
@@ -114,8 +116,10 @@ def test_diagonalize_witness_exact(ctx):
 
 def _diagonalize_cases(ctx, n, rng):
     """Seeded +1-hermitian forms of size n: random ones, the zero form,
-    random ones with a zero diagonal (the repair step) and degenerate
-    congruent images g^J (D (+) 0) g."""
+    random ones with a zero diagonal (the repair step), degenerate
+    congruent images g^J (D (+) 0) g and, for even n, block forms
+    [[0, s], [s^J, 0]], which need the repair at their first step and are
+    degenerate when s is singular."""
     zero = ctx.zero()
     yield FormMatrix(ctx, Matrix.zeros(ctx, n, n), 1)
     for _ in range(6):
@@ -129,13 +133,21 @@ def _diagonalize_cases(ctx, n, rng):
              for _ in range(rank)] + [zero] * (n - rank)
         g = random_invertible(ctx, n, rng)
         yield FormMatrix(ctx, g.jt() * Matrix.diagonal(ctx, d) * g, 1)
+    if n % 2 == 0:
+        m = n // 2
+        for rank in (m, rng.randrange(m)):
+            s = (random_invertible(ctx, m, rng)
+                 * Matrix.diagonal(ctx, [1] * rank + [0] * (m - rank))
+                 * random_invertible(ctx, m, rng))
+            z = Matrix.zeros(ctx, m, m)
+            yield FormMatrix(ctx, Matrix.block2(z, s, s.jt(), z), 1)
 
 
 @pytest.mark.parametrize("ctx", DIFF_CTXS, ids=repr)
 def test_diagonalize_matches_scalar_oracle(ctx):
     rng = random.Random(2026)
     repaired = 0
-    for n in range(1, 5):
+    for n in range(1, 7):
         for t in _diagonalize_cases(ctx, n, rng):
             got, ref = diagonalize(t), scalar_diagonalize(t)
             assert got.diag == ref.diag
@@ -167,6 +179,61 @@ def test_diagonalize_witness_catches_planted_faults(monkeypatch):
             m.setattr(k, "wrap", lambda x: wrap(k.add(x, k.one)))
             with pytest.raises(ValidationError, match="witness failed"):
                 diagonalize(t)
+    # g^J t g = D (+) 0 proves nothing of a singular g: under a wrong mul
+    # (the multipliers and the repair) or a wrong sub (the row updates)
+    # these nondegenerate forms over F_3 can come back with a radical and
+    # a singular g whose product alone matches
+    f3 = FieldCtx("Fp", p=3)
+    k = f3.kernel
+    for op, rows in (("mul", [[0, 1, 0], [1, 1, 0], [0, 0, 1]]),
+                     ("sub", [[1, 0, 2], [0, 2, 0], [2, 0, 2]])):
+        t = FormMatrix(f3, rows, 1)
+        assert diagonalize(t).radical_dim == 0
+        with monkeypatch.context() as m:
+            f = getattr(k, op)
+            m.setattr(k, op, lambda x, y: k.add(f(x, y), k.one))
+            with pytest.raises(ValidationError, match="witness failed"):
+                diagonalize(t)
+
+
+@pytest.mark.parametrize("kind", sorted(STEP_KERNELS))
+def test_diagonalize_makes_one_row_update_per_entry_it_clears(kind,
+                                                              monkeypatch):
+    # on a generic form no pivot needs a swap or the repair: each of the
+    # n(n-1)/2 entries under the diagonal costs one multiplier (mul) and
+    # one row update (scale), and no column update (a mul and an add per
+    # row) is made
+    make, entry = STEP_KERNELS[kind]
+    ctx = FieldCtx(kind, p=P61 if kind.startswith("Fp") else None,
+                   d=-1 if kind == "QSqrt" else None)
+    k = ctx.kernel = make()
+    calls = dict.fromkeys(("add", "mul", "scale"), 0)
+
+    def counted(name):
+        op = getattr(k, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return op(*args)
+        return wrapper
+
+    rng = random.Random(f"diagonalize steps:{kind}")
+    for n in range(2, 6):
+        calls.update(dict.fromkeys(calls, 0))
+        a = [[None] * n for _ in range(n)]
+        for i in range(n):
+            x = entry(rng)
+            a[i][i] = k.add(x, k.conj(x))
+            for j in range(i + 1, n):
+                a[i][j] = entry(rng)
+                a[j][i] = k.conj(a[i][j])
+        t = FormMatrix._of(ctx, Matrix._of(ctx, tuple(map(tuple, a))), 1)
+        with monkeypatch.context() as m:
+            for name in calls:
+                m.setattr(k, name, counted(name))
+            assert diagonalize(t).radical_dim == 0
+        assert calls == {"add": 0, "mul": n * (n - 1) // 2,
+                         "scale": n * (n - 1) // 2}
 
 
 def test_is_isometric_examples():

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from maslov import fields
 from maslov.errors import DimensionMismatch, SingularInput, ValidationError
 from maslov.fields import FieldCtx, Scalar, is_prime
 from maslov.lagrange import HyperbolicSpace
@@ -18,6 +17,7 @@ from oracles import (
     PairOracle,
     PrimeFieldOracle,
     OperatorOracle,
+    STEP_KERNELS,
     field_det,
     field_inverse,
     field_rref,
@@ -460,21 +460,6 @@ def test_fraction_free_elimination_matches_field_division(ctx):
         assert only(leaf, red[0])
     # the singular inputs, and the zero rows among the random ones
     assert 30 <= singular < len(square)
-
-
-# fresh kernels, so that counting their row steps touches no shared one,
-# and generic entries: over p = 2^61 - 1 the seeded draws meet no zero
-P61 = 2**61 - 1
-STEP_KERNELS = {
-    "Q": (fields._ScalarKernel,
-          lambda rng: Fraction(rng.randint(-99, 99), rng.randint(1, 9))),
-    "QSqrt": (lambda: fields._QuadKernel(-1),
-              lambda rng: (Fraction(rng.randint(-99, 99), rng.randint(1, 9)),
-                           Fraction(rng.randint(-99, 99), rng.randint(1, 9)))),
-    "Fp": (lambda: fields._FpKernel(P61), lambda rng: rng.randrange(P61)),
-    "Fp2": (lambda: fields._Fp2Kernel(P61),
-            lambda rng: (rng.randrange(P61), rng.randrange(P61))),
-}
 
 
 @pytest.mark.parametrize("kind", sorted(STEP_KERNELS))
