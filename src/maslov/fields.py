@@ -10,9 +10,10 @@ Four kinds of base field are supported, each with its involution J:
 Characteristic 2 is excluded by construction.  Each field has one
 arithmetic kernel on raw values; its scalars are Fractions over Q and
 ``Scalar`` objects over the other kinds, immutable, hashable and exact.
-Two eliminations serve the four kernels, field division over F_p and
-F_{p^2} and one fraction-free loop over Q and Q(sqrt(d)), and ``_Kernel``
-builds det, inverse and rref on them once.
+Matrices hold the kernel's ring values, over Q and Q(sqrt(d)) integers
+over one denominator.  Two eliminations serve the four kernels, field
+division over F_p and F_{p^2} and one fraction-free loop over Q and
+Q(sqrt(d)), and ``_Kernel`` builds det, inverse and rref on them once.
 """
 
 from __future__ import annotations
@@ -343,55 +344,78 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic kernels: one per field, on the raw values scalars and matrices
-# hold.  Each has name (the field in FieldCtx's repr), zero, one, wrap (raw
-# -> scalar), unwrap (scalar or int -> raw; elements of another field
-# raise), conj, neg, add, sub, mul, inv, scale(u, c) = u c on a row u, and
-# on tuples of raw rows its own matmul(a, b).  det(a), inverse(a) (raising
-# SingularInput) and rref(a) -> (rows, pivot columns) are written once, in
-# _Kernel.  The kernels behind ``Scalar`` add div and show (raw -> repr),
-# the quadratic ones gen.
+# Arithmetic kernels: one per field, on the raw values scalars hold and on
+# the matrices built from them.  Each has name (the field in FieldCtx's
+# repr), zero, one, wrap (raw -> scalar), unwrap (scalar or int -> raw;
+# elements of another field raise), conj, neg, add, sub, mul, inv and
+# scale(u, c) = u c on a row u.  A matrix is held as a pair (rows, den): a
+# tuple of rows of the kernel's ring values over one int den.  Over F_p and
+# F_{p^2} the ring is the field (ints mod p, int pairs) and den is 1; over Q
+# it is Z and over Q(sqrt(d)) Z[sqrt(d)] (int pairs), with den > 0 and prime
+# to the content of the rows (a zero matrix has den 1), so that equal
+# matrices have equal pairs.  conj, neg, add, sub and scale also take ring
+# values; ring is the ring's (zero, one), lift(a) maps a tuple of tuples of
+# raw values to the pair, entries(rows, den) maps it back (one Fraction per
+# rational an entry holds), matmul(a, b) is the product of two tuples of
+# ring rows, and over Q and Q(sqrt(d)) normal(rows, den) brings rows over
+# den to the normal form and rescale(rows, s) multiplies them by the int s.
+# det_over, inverse_over (raising SingularInput) and rref_over are written
+# once, in _Kernel.  The kernels behind ``Scalar`` add div and show (raw ->
+# repr), the quadratic ones gen.
 
 
 class _Kernel:
-    """det, inverse and rref on tuples of raw rows, for every kernel, from
+    """det, inverse and rref of a matrix (a, den), for every kernel, from
     three methods of its own:
 
       * _eliminate(a, width, below), ``_FiniteKernel``'s or
-        ``_BareissKernel``'s, lifts the raw rows a into the kernel's
-        elimination domain, with their row scales, and eliminates them on
-        their first width columns: Gauss-Jordan, or with below only the
-        rows under each pivot (a forward pass).  It returns (rows, pivots,
-        p, den): the eliminated rows, their pivot columns, the p that
-        Gauss-Jordan leaves in every pivot column, and an int den; after a
-        forward pass a square a of full rank has determinant p / den;
-      * _over(rows, p) maps Gauss-Jordan rows back to tuples of raw
-        values, each over p;
-      * _quotient(p, den) is the raw value p / den.
+        ``_BareissKernel``'s, eliminates the ring rows a on their first
+        width columns: Gauss-Jordan, or with below only the rows under each
+        pivot (a forward pass).  It returns (rows, pivots, p, sign): the
+        eliminated rows, their pivot columns, the p that Gauss-Jordan
+        leaves in every pivot column, and the sign of the row swaps; after
+        a forward pass a square a of full rank has determinant sign p;
+      * _divide(rows, p, s) is the matrix rows s / p, normal;
+      * _quotient(p, q) is the raw value p / q, q an int.
 
+    det, inverse and rref do the same on rows of raw values, in and out.
     The kernels whose scalars are ``Scalar`` share the rest: ``embed`` maps
     the rationals of type ``rationals`` to raw values."""
 
     rationals = (int,)
 
-    def det(self, a):
+    def det_over(self, a, den):
         n = len(a)
-        _, pivots, p, den = self._eliminate(a, n, True)
-        return self.zero if len(pivots) < n else self._quotient(p, den)
+        _, pivots, p, sign = self._eliminate(a, n, True)
+        return (self.zero if len(pivots) < n
+                else self._quotient(p, sign * den ** n))
 
-    def inverse(self, a):
-        # [A | I], eliminated on A's columns, becomes p [I | A^-1]
-        n, z = len(a), (self.zero,)
+    def inverse_over(self, a, den):
+        # [A | I], eliminated on A's columns, becomes p [I | A^-1], and
+        # (a / den)^-1 = den a^-1
+        n, (zero, one) = len(a), self.ring
+        z = (zero,)
         rows, pivots, p, _ = self._eliminate(
-            [r + z * i + (self.one,) + z * (n - 1 - i)
+            [r + z * i + (one,) + z * (n - 1 - i)
              for i, r in enumerate(a)], n, False)
         if len(pivots) < n:
             raise SingularInput("matrix is singular")
-        return self._over([r[n:] for r in rows], p)
+        return self._divide([r[n:] for r in rows], p, den)
+
+    def rref_over(self, a, den):
+        # the rows of a / den have the reduced form of a
+        rows, pivots, p, _ = self._eliminate(a, len(a[0]) if a else 0, False)
+        return self._divide(rows, p, 1), pivots
+
+    def det(self, a):
+        return self.det_over(*self.lift(a))
+
+    def inverse(self, a):
+        return self.entries(*self.inverse_over(*self.lift(a)))
 
     def rref(self, a):
-        rows, pivots, p, _ = self._eliminate(a, len(a[0]) if a else 0, False)
-        return self._over(rows, p), pivots
+        red, pivots = self.rref_over(*self.lift(a))
+        return self.entries(*red), pivots
 
     def wrap(self, raw):
         return Scalar(self, raw)
@@ -415,14 +439,22 @@ class _Kernel:
 
 
 class _FiniteKernel(_Kernel):
-    """What F_p and F_{p^2} share: elimination with field division, one
-    inverse per pivot, on rows through axpy(u, f, v) = u - f v and scale."""
+    """What F_p and F_{p^2} share: matrices of raw values over den 1, and
+    elimination with field division, one inverse per pivot, on rows through
+    axpy(u, f, v) = u - f v and scale."""
+
+    @staticmethod
+    def lift(a):
+        return a, 1
+
+    @staticmethod
+    def entries(a, den):
+        return a
 
     def _eliminate(self, a, width, below):
-        # field division on a list of the raw rows a, which need no lift:
-        # each pivot row is scaled to one in its pivot column, so p is one,
-        # except in a forward pass, where p is the product of the pivots and
-        # den the sign of the row swaps
+        # field division: each pivot row is scaled to one in its pivot
+        # column, so p is one, except in a forward pass, where p is the
+        # product of the pivots
         a, zero, one = list(a), self.zero, self.one
         m = len(a)
         pivots, p, sign = [], one, 1
@@ -453,18 +485,20 @@ class _FiniteKernel(_Kernel):
         return a, pivots, p, sign
 
     @staticmethod
-    def _over(rows, p):
-        # p is one
-        return tuple(map(tuple, rows))
+    def _divide(rows, p, s):
+        # p and s are one
+        return tuple(map(tuple, rows)), 1
 
-    def _quotient(self, p, den):
-        return p if den == 1 else self.neg(p)
+    def _quotient(self, p, q):
+        # q is the sign
+        return p if q == 1 else self.neg(p)
 
 
 class _FpKernel(_FiniteKernel):
     """F_p on ints in [0, p); a dot product reduces once."""
 
     zero, one = 0, 1
+    ring = zero, one
 
     def __init__(self, p):
         self.p, self.name, self.show = p, f"F{p}", str
@@ -489,6 +523,7 @@ class _Fp2Kernel(_FiniteKernel):
     nu is the least non-residue mod p."""
 
     zero, one, gen = (0, 0), (1, 0), (0, 1)
+    ring = zero, one
 
     def __init__(self, p):
         self.p, self.name, self.gen_name = p, f"F{p}^2", "w"
@@ -538,36 +573,23 @@ class _Fp2Kernel(_FiniteKernel):
 _F0, _F1 = Fraction(0), Fraction(1)
 
 
-def _over_lcm(vectors):
-    # each vector of Fractions as (n, its entries times n), n the lcm of
-    # its denominators
-    out = []
-    for v in vectors:
-        n = math.lcm(*[x.denominator for x in v])
-        out.append((n, [x.numerator * (n // x.denominator) for x in v]))
-    return out
-
-
 class _BareissKernel(_Kernel):
     """What Q and Q(sqrt(d)) share: fraction-free elimination (E. H.
-    Bareiss, Math. Comp. 22, 1968; H. Cohen, GTM 138, Alg. 2.2.6) in their
-    ring of integers Z or Z[sqrt(d)], whose (zero, one) is ``_ring``, over
-    two methods of the kernel:
+    Bareiss, Math. Comp. 22, 1968; H. Cohen, GTM 138, Alg. 2.2.6) on a
+    matrix's ring rows in Z or Z[sqrt(d)], read as they are stored, over one
+    method of the kernel:
 
-      * _lift(a) -> (rows, den): the raw rows a as lists over the ring, each
-        over the lcm of its denominators, and den the product of those row
-        scales;
       * _step(p, prev) -> the row step (x, f, y) -> (p x - f y) / prev for
         the pivot p, exact in the ring, its per-pivot constants computed
         once.
 
-    The entries stay ring elements, minors of the input, until one
-    Fraction per entry at the end."""
+    The entries stay ring elements, minors of the rows, until the one
+    division by the last pivot that _divide makes at the end."""
 
     def _eliminate(self, a, width, below):
         # every pivot row ends with the last pivot p in its pivot column
-        a, den = self._lift(a)
-        zero, prev = self._ring
+        a = list(a)
+        zero, prev = self.ring
         m = len(a)
         pivots, sign = [], 1
         for c in range(width):
@@ -590,14 +612,16 @@ class _BareissKernel(_Kernel):
             pivots.append(c)
             if r + 1 == m:
                 break
-        return a, pivots, prev, sign * den
+        return a, pivots, prev, sign
 
 
 class _QuadKernel(_BareissKernel):
-    """Q(sqrt(d)) on Fraction pairs (a, b) for a + b sqrt(d)."""
+    """Q(sqrt(d)) on Fraction pairs (a, b) for a + b sqrt(d); a matrix is
+    rows of int pairs, elements of Z[sqrt(d)], over one int den."""
 
     rationals = (int, Fraction)
     zero, one, gen = (_F0, _F0), (_F1, _F0), (_F0, _F1)
+    ring = (0, 0), (1, 0)
 
     def __init__(self, d):
         self.d, self.name = d, f"Q(sqrt({d}))"
@@ -617,24 +641,47 @@ class _QuadKernel(_BareissKernel):
         n = a * a - self.d * b * b
         return (a / n, -b / n)
 
-    def matmul(self, x, y):
-        # one product over Q: for x = x0 + x1 sqrt(d) and y likewise,
-        # [x0 | x1] [[y0, y1], [d y1, y0]] = [x0 y0 + d x1 y1 | x0 y1 + x1 y0]
-        d, n = self.d, len(y[0]) if y else 0
-        z = _ScalarKernel.matmul(
-            [[a for a, _ in r] + [b for _, b in r] for r in x],
-            [[a for a, _ in r] + [b for _, b in r] for r in y]
-            + [[d * b for _, b in r] + [a for a, _ in r] for r in y])
-        return tuple(tuple(zip(r[:n], r[n:])) for r in z)
-
-    _ring = (0, 0), (1, 0)
+    @staticmethod
+    def lift(a):
+        # over the lcm of the denominators of both parts of every entry,
+        # which leaves the content prime to it
+        den = math.lcm(*[x.denominator for r in a for e in r for x in e])
+        return tuple(tuple([(x.numerator * (den // x.denominator),
+                             y.numerator * (den // y.denominator))
+                            for x, y in r]) for r in a), den
 
     @staticmethod
-    def _lift(a):
-        # int pairs, each row over the lcm of the denominators of both parts
-        lifted = _over_lcm([x for e in r for x in e] for r in a)
-        return ([list(zip(v[::2], v[1::2])) for _, v in lifted],
-                math.prod(n for n, _ in lifted))
+    def entries(a, den):
+        return tuple(tuple([(Fraction(x, den), Fraction(y, den))
+                            for x, y in r]) for r in a)
+
+    @staticmethod
+    def normal(a, den):
+        g = math.gcd(den, *[x for r in a for e in r for x in e])
+        if den < 0:
+            g = -g
+        if g == 1:
+            return a, den
+        return (tuple(tuple([(x // g, y // g) for x, y in r]) for r in a),
+                den // g)
+
+    @staticmethod
+    def rescale(a, s):
+        return tuple(tuple([(x * s, y * s) for x, y in r]) for r in a)
+
+    def matmul(self, x, y):
+        # for x = x0 + x1 sqrt(d) and y likewise, an entry is two int dot
+        # products: a row of [x0 | x1] times a column of
+        # [[y0, y1], [d y1, y0]]
+        d, mul, cols, out = self.d, operator.mul, [], []
+        for c in zip(*y):
+            re, im = [a for a, _ in c], [b for _, b in c]
+            cols.append((re + [d * b for b in im], im + re))
+        for r in x:
+            u = [a for a, _ in r] + [b for _, b in r]
+            out.append(tuple([(sum(map(mul, u, re)), sum(map(mul, u, im)))
+                              for re, im in cols]))
+        return tuple(out)
 
     def _step(self, p, prev):
         # in Z[sqrt(d)]: times the conjugate of prev, then by its int norm
@@ -654,17 +701,18 @@ class _QuadKernel(_BareissKernel):
             return out
         return step
 
-    def _over(self, rows, p):
-        # x / p = x conj(p) / N(p), in Fractions
+    def _divide(self, rows, p, s):
+        # x s / p = x s conj(p) / N(p)
         (pa, pb), d = p, self.d
-        dpb, norm = d * pb, pa * pa - d * pb * pb
-        return tuple(tuple([(Fraction(xa * pa - xb * dpb, norm),
-                             Fraction(xb * pa - xa * pb, norm))
-                            for xa, xb in r]) for r in rows)
+        ca, cb = pa * s, -pb * s
+        dcb = d * cb
+        return self.normal(tuple(tuple([(xa * ca + xb * dcb, xb * ca + xa * cb)
+                                        for xa, xb in r]) for r in rows),
+                           pa * pa - d * pb * pb)
 
     @staticmethod
-    def _quotient(p, den):
-        return (Fraction(p[0], den), Fraction(p[1], den))
+    def _quotient(p, q):
+        return (Fraction(p[0], q), Fraction(p[1], q))
 
     def scale(self, u, f):
         c, e = f
@@ -673,11 +721,11 @@ class _QuadKernel(_BareissKernel):
 
 
 class _ScalarKernel(_BareissKernel):
-    """Q on Fractions: the raw value is the scalar itself."""
+    """Q on Fractions: the raw value is the scalar itself; a matrix is int
+    rows over one int den."""
 
-    name, zero, one, _ring = "Q", _F0, _F1, (0, 1)
+    name, zero, one, ring = "Q", _F0, _F1, (0, 1)
     neg, add, sub, mul = operator.neg, operator.add, operator.sub, operator.mul
-    _quotient = staticmethod(Fraction)
 
     def __init__(self):
         self.wrap = self.conj = lambda a: a
@@ -693,25 +741,45 @@ class _ScalarKernel(_BareissKernel):
         raise ValidationError(f"{x!r} is not an element of Q")
 
     @staticmethod
-    def matmul(x, y):
-        # rows of x and columns of y over one denominator each: an entry
-        # is one int dot product and one Fraction
-        mul, cols = operator.mul, _over_lcm(zip(*y))
-        return tuple(tuple([Fraction(sum(map(mul, a, c)), n * m)
-                            for m, c in cols]) for n, a in _over_lcm(x))
+    def lift(a):
+        # over the lcm of the denominators, which leaves the content prime
+        # to it
+        den = math.lcm(*[x.denominator for r in a for x in r])
+        return tuple(tuple([x.numerator * (den // x.denominator) for x in r])
+                     for r in a), den
 
     @staticmethod
-    def _lift(a):
-        lifted = _over_lcm(a)
-        return [v for _, v in lifted], math.prod(n for n, _ in lifted)
+    def entries(a, den):
+        return tuple(tuple([Fraction(x, den) for x in r]) for r in a)
+
+    @staticmethod
+    def normal(a, den):
+        g = math.gcd(den, *[x for r in a for x in r])
+        if den < 0:
+            g = -g
+        if g == 1:
+            return a, den
+        return tuple(tuple([x // g for x in r]) for r in a), den // g
+
+    @staticmethod
+    def rescale(a, s):
+        return tuple(tuple([x * s for x in r]) for r in a)
+
+    @staticmethod
+    def matmul(x, y):
+        mul, cols = operator.mul, tuple(zip(*y))
+        return tuple(tuple([sum(map(mul, u, v)) for v in cols]) for u in x)
 
     @staticmethod
     def _step(p, prev):
         return lambda x, f, y: [(p * a - f * b) // prev for a, b in zip(x, y)]
 
+    def _divide(self, rows, p, s):
+        return self.normal(self.rescale(rows, s), p)
+
     @staticmethod
-    def _over(rows, p):
-        return tuple(tuple([Fraction(x, p) for x in r]) for r in rows)
+    def _quotient(p, q):
+        return Fraction(p, q)
 
 
 _KERNELS = weakref.WeakValueDictionary()

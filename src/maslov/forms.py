@@ -83,7 +83,7 @@ def diagonalize(t: FormMatrix) -> Diagonalization:
     """Exact congruence diagonalization of a (+1)-hermitian form.
 
     Symmetric Gaussian elimination by row operations on [t | I], on the
-    context kernel's raw values.  One row update clears each entry under
+    raw values of t's entries.  One row update clears each entry under
     a pivot and leaves the Schur complement, hermitian, in the trailing
     block; the right block carries the rows of g^J.  When the remaining
     diagonal vanishes, the usual char != 2 repair, a column+row addition,
@@ -96,7 +96,7 @@ def diagonalize(t: FormMatrix) -> Diagonalization:
         raise WrongSymmetry("only +1-hermitian forms are diagonalized")
     ctx, k, n = t.ctx, t.ctx.kernel, t.dim
     zero, add, sub, mul, scale = k.zero, k.add, k.sub, k.mul, k.scale
-    a = [list(row) for row in t.mat.raw]
+    a = [list(row) for row in k.entries(t.mat.raw, t.mat.den)]
     rank, wide = n, False
     for c in range(n):
         piv, off = c, None
@@ -127,19 +127,22 @@ def diagonalize(t: FormMatrix) -> Diagonalization:
             a[c], a[piv] = a[piv], a[c]
             for r in a[c:]:
                 r[c], r[piv] = r[piv], r[c]
-        head, inv = a[c][c:], None
+        # column c of the rows below is never read again: each update
+        # starts right of it
+        pivot, head, inv = a[c][c], a[c][c + 1:], None
         for i in range(c + 1, n):
             f = a[i][c]
             if f != zero:
-                inv = inv or k.inv(head[0])
-                a[i][c:] = map(sub, a[i][c:], scale(head, mul(f, inv)))
+                inv = inv or k.inv(pivot)
+                a[i][c + 1:] = map(sub, a[i][c + 1:],
+                                   scale(head, mul(f, inv)))
 
     diag = tuple(k.wrap(a[i][i]) for i in range(rank))
     d = Matrix.diagonal(ctx, diag + (k.wrap(zero),) * (n - rank))
     if not wide:
         gm, witness = Matrix.identity(ctx, n), t.mat
     else:
-        gj = Matrix._of(ctx, tuple(tuple(r[n:]) for r in a))
+        gj = Matrix._of(ctx, *k.lift(tuple(tuple(r[n:]) for r in a)))
         gm = gj.jt()
         witness = gj * t.mat * gm
     # a singular g proves nothing; a full-rank D already forces g invertible

@@ -1,66 +1,81 @@
 """Dense exact matrices over a FieldCtx.
 
-Everything is immutable and exact.  A matrix holds the raw values of its
-context's arithmetic kernel (``FieldCtx.kernel``) and computes on them;
-scalars appear only at the boundary (``Matrix(ctx, rows)``, ``rows`` and
-``det``).  Each kernel does its own products; ``det``, ``inverse`` and
+Everything is immutable and exact.  A matrix holds rows of its context's
+kernel's ring values over one int denominator (``FieldCtx.kernel``):
+over F_p and F_{p^2} the field's raw values over 1, over Q int rows and
+over Q(sqrt(d)) rows of int pairs in Z[sqrt(d)], over a den > 0 prime to
+their content, so that equal matrices hold equal rows and dens.  A
+product is one ring product and one content gcd; sums and stacks bring
+two dens to their lcm first.  Scalars appear only at the boundary
+(``Matrix(ctx, rows)``, ``rows`` and ``det``).  ``det``, ``inverse`` and
 ``rref`` are written once for every kernel (``fields._Kernel``) over its
 one elimination: with field division over F_p and F_{p^2}, fraction-free
-on integer rows over Q and Q(sqrt(d)), forming each Fraction once at the
-end.
+on the stored rows over Q and Q(sqrt(d)).
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import DimensionMismatch, ValidationError
 from .fields import FieldCtx
 
 
 class Matrix:
-    __slots__ = ("ctx", "raw", "m", "n", "_det")
+    __slots__ = ("ctx", "raw", "den", "m", "n", "_det")
 
     def __init__(self, ctx: FieldCtx, rows):
-        raw = tuple(tuple(map(ctx.kernel.unwrap, r)) for r in rows)
-        if raw and any(len(r) != len(raw[0]) for r in raw):
+        k = ctx.kernel
+        entries = tuple(tuple(map(k.unwrap, r)) for r in rows)
+        if entries and any(len(r) != len(entries[0]) for r in entries):
             raise ValidationError("ragged matrix")
+        raw, self.den = k.lift(entries)
         self.ctx, self.raw, self._det = ctx, raw, None
         self.m, self.n = len(raw), len(raw[0]) if raw else 0
 
     @classmethod
-    def _of(cls, ctx, raw):
+    def _of(cls, ctx, raw, den):
         """Trusted constructor for closed operations: raw is a tuple of
-        equal-length rows of ctx's raw values, taken as it is."""
+        equal-length rows of ctx's ring values over den, the pair in the
+        kernel's normal form, taken as it is."""
         out = cls.__new__(cls)
-        out.ctx, out.raw, out._det = ctx, raw, None
-        out.m, out.n = len(raw), len(raw[0]) if raw else 0
+        out.ctx = ctx
+        out.raw = raw
+        out.den = den
+        out._det = None
+        out.m = len(raw)
+        out.n = len(raw[0]) if raw else 0
         return out
 
     @property
     def rows(self):
         """The entries as scalars, row by row."""
-        wrap = self.ctx.kernel.wrap
-        return tuple(tuple(map(wrap, r)) for r in self.raw)
+        k = self.ctx.kernel
+        return tuple(tuple(map(k.wrap, r))
+                     for r in k.entries(self.raw, self.den))
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def identity(ctx, n):
-        return Matrix._diagonal(ctx, (ctx.kernel.one,) * n)
+        return Matrix._diagonal(ctx, (ctx.kernel.ring[1],) * n, 1)
 
     @staticmethod
     def zeros(ctx, m, n):
-        return Matrix._of(ctx, ((ctx.kernel.zero,) * n,) * m)
+        return Matrix._of(ctx, ((ctx.kernel.ring[0],) * n,) * m, 1)
 
     @staticmethod
     def diagonal(ctx, entries):
-        return Matrix._diagonal(ctx, tuple(map(ctx.kernel.unwrap, entries)))
+        k = ctx.kernel
+        (raw,), den = k.lift((tuple(map(k.unwrap, entries)),))
+        return Matrix._diagonal(ctx, raw, den)
 
     @classmethod
-    def _diagonal(cls, ctx, raw):
-        """The diagonal matrix of the raw values raw."""
-        z, n = (ctx.kernel.zero,), len(raw)
+    def _diagonal(cls, ctx, raw, den):
+        """The diagonal matrix of the ring values raw over den."""
+        z, n = (ctx.kernel.ring[0],), len(raw)
         return cls._of(ctx, tuple(z * i + (e,) + z * (n - 1 - i)
-                                  for i, e in enumerate(raw)))
+                                  for i, e in enumerate(raw)), den)
 
     @staticmethod
     def block2(a, b, c, d):
@@ -69,28 +84,53 @@ class Matrix:
             raise DimensionMismatch("incompatible blocks")
         return a.hstack(b).vstack(c.hstack(d))
 
+    # A closed operation whose result can have a content gcd with its den
+    # (a product, sum, difference, scaling or block of rows) reduces it with
+    # the kernel's normal unless den is 1; transposes, jt, negation and
+    # stacks keep the normal form.
+
+    def _rescaled(self, other):
+        # the rows of self and other over the lcm of their different dens
+        rescale, den = self.ctx.kernel.rescale, math.lcm(self.den, other.den)
+        return (rescale(self.raw, den // self.den),
+                rescale(other.raw, den // other.den), den)
+
     def hstack(self, other):
         if self.m != other.m:
             raise DimensionMismatch("hstack rows differ")
-        return Matrix._of(self.ctx, tuple(ra + rb for ra, rb
-                                          in zip(self.raw, other.raw)))
+        a, b, den = self.raw, other.raw, self.den
+        if den != other.den:
+            a, b, den = self._rescaled(other)
+        return Matrix._of(self.ctx, tuple(ra + rb for ra, rb in zip(a, b)),
+                          den)
 
     def vstack(self, other):
         if self.n != other.n:
             raise DimensionMismatch("vstack columns differ")
-        return Matrix._of(self.ctx, self.raw + other.raw)
+        a, b, den = self.raw, other.raw, self.den
+        if den != other.den:
+            a, b, den = self._rescaled(other)
+        return Matrix._of(self.ctx, a + b, den)
 
     def row_block(self, i, j):
         """Rows i to j - 1."""
-        return Matrix._of(self.ctx, self.raw[i:j])
+        raw, den = self.raw[i:j], self.den
+        if den != 1:
+            raw, den = self.ctx.kernel.normal(raw, den)
+        return Matrix._of(self.ctx, raw, den)
 
     # -- arithmetic -----------------------------------------------------
 
     def _entrywise(self, op, other):
         if self.m != other.m or self.n != other.n:
             raise DimensionMismatch("matrix sizes differ")
-        return Matrix._of(self.ctx, tuple(
-            tuple(map(op, ra, rb)) for ra, rb in zip(self.raw, other.raw)))
+        a, b, den = self.raw, other.raw, self.den
+        if den != other.den:
+            a, b, den = self._rescaled(other)
+        raw = tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a, b))
+        if den != 1:
+            raw, den = self.ctx.kernel.normal(raw, den)
+        return Matrix._of(self.ctx, raw, den)
 
     def __add__(self, other):
         return self._entrywise(self.ctx.kernel.add, other)
@@ -101,13 +141,16 @@ class Matrix:
     def __neg__(self):
         neg = self.ctx.kernel.neg
         return Matrix._of(self.ctx, tuple(tuple(map(neg, r))
-                                          for r in self.raw))
+                                          for r in self.raw), self.den)
 
     def scale(self, c):
         k = self.ctx.kernel
-        c = k.unwrap(c)
-        return Matrix._of(self.ctx, tuple(tuple(k.scale(r, c))
-                                          for r in self.raw))
+        ((c,),), den = k.lift(((k.unwrap(c),),))
+        raw = tuple(tuple(k.scale(r, c)) for r in self.raw)
+        den *= self.den
+        if den != 1:
+            raw, den = k.normal(raw, den)
+        return Matrix._of(self.ctx, raw, den)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -115,29 +158,32 @@ class Matrix:
         if self.n != other.m:
             raise DimensionMismatch(
                 f"cannot multiply {self.m}x{self.n} by {other.m}x{other.n}")
-        return Matrix._of(self.ctx,
-                          self.ctx.kernel.matmul(self.raw, other.raw))
+        k, den = self.ctx.kernel, self.den * other.den
+        raw = k.matmul(self.raw, other.raw)
+        if den != 1:
+            raw, den = k.normal(raw, den)
+        return Matrix._of(self.ctx, raw, den)
 
     def transpose(self):
-        return Matrix._of(self.ctx, tuple(zip(*self.raw)))
+        return Matrix._of(self.ctx, tuple(zip(*self.raw)), self.den)
 
     def jt(self):
         """Conjugate transpose: transpose with the involution applied."""
         conj = self.ctx.kernel.conj
         return Matrix._of(self.ctx, tuple(tuple(map(conj, r))
-                                          for r in zip(*self.raw)))
+                                          for r in zip(*self.raw)), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.raw == other.raw and (self.ctx is other.ctx
-                                          or self.ctx == other.ctx)
+        return (self.raw == other.raw and self.den == other.den
+                and (self.ctx is other.ctx or self.ctx == other.ctx))
 
     def __hash__(self):
         return hash(self.raw)
 
     def is_zero(self):
-        return self.raw == ((self.ctx.kernel.zero,) * self.n,) * self.m
+        return self.raw == ((self.ctx.kernel.ring[0],) * self.n,) * self.m
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(a) for a in r) for r in self.rows)
@@ -151,7 +197,7 @@ class Matrix:
             if self.m != self.n:
                 raise DimensionMismatch("determinant of a non-square matrix")
             k = self.ctx.kernel
-            self._det = k.wrap(k.det(self.raw))
+            self._det = k.wrap(k.det_over(self.raw, self.den))
         return self._det
 
     def is_invertible(self):
@@ -161,12 +207,13 @@ class Matrix:
         """The inverse; SingularInput if there is none."""
         if self.m != self.n:
             raise DimensionMismatch("inverse of a non-square matrix")
-        return Matrix._of(self.ctx, self.ctx.kernel.inverse(self.raw))
+        return Matrix._of(self.ctx,
+                          *self.ctx.kernel.inverse_over(self.raw, self.den))
 
     def rref(self):
         """Reduced row echelon form together with the pivot columns."""
-        raw, pivots = self.ctx.kernel.rref(self.raw)
-        return Matrix._of(self.ctx, raw), pivots
+        red, pivots = self.ctx.kernel.rref_over(self.raw, self.den)
+        return Matrix._of(self.ctx, *red), pivots
 
     def column_space_canonical(self):
         """Canonical basis of the column space (reduced column echelon)."""

@@ -161,7 +161,7 @@ def generic_decompose(g: Matrix) -> Sl2Factorization:
     ctx = g.ctx
     if g.det() != ctx.one():
         raise ValidationError("matrix must have determinant one")
-    g11, g12, g21, g22 = map(ctx.kernel.wrap, g.raw[0] + g.raw[1])
+    (g11, g12), (g21, g22) = g.rows
     one = ctx.one()
     if g21:
         r, s, t = -(one / g21), g11 / g21, g22 / g21
@@ -202,9 +202,9 @@ def reduced_route(ctx, r1, r2, t) -> WittClass:
     witnesses a = 1, b = r1^{-1}, c = -r2^{-1}, built unchecked: its
     frame and kappa decide opposition."""
     space = HyperbolicSpace(ctx, 1)
-    one, zero, raw = ctx.one(), ctx.zero(), ctx.kernel.unwrap
+    one, zero, k = ctx.one(), ctx.zero(), ctx.kernel
     c = -(one / r2)
-    bases = [Matrix._of(ctx, ((raw(x),), (raw(y),)))
+    bases = [Matrix._of(ctx, *k.lift(((k.unwrap(x),), (k.unwrap(y),))))
              for x, y in ((one, zero), (zero, one / r1), (t * c, c))]
     bt = BasedTriple(*(Lagrangian._of(space, b) for b in bases))
     return reduced_maslov(bt).neg()

@@ -227,7 +227,8 @@ def test_diagonalize_makes_one_row_update_per_entry_it_clears(kind,
             for j in range(i + 1, n):
                 a[i][j] = entry(rng)
                 a[j][i] = k.conj(a[i][j])
-        t = FormMatrix._of(ctx, Matrix._of(ctx, tuple(map(tuple, a))), 1)
+        mat = Matrix._of(ctx, *k.lift(tuple(map(tuple, a))))
+        t = FormMatrix._of(ctx, mat, 1)
         with monkeypatch.context() as m:
             for name in calls:
                 m.setattr(k, name, counted(name))

@@ -2,12 +2,14 @@
 
 import functools
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from maslov import fields
 from maslov.errors import DimensionMismatch, SingularInput, ValidationError
 from maslov.fields import FieldCtx, Scalar, is_prime
 from maslov.lagrange import HyperbolicSpace
@@ -263,12 +265,12 @@ def test_pairing_is_the_gram_product(ctx):
             space.pairing(u, random_matrix(ctx, 2 * n + 1, n, rng))
 
 
-# Matrix products against the term-by-term product of tests/oracles.py.
-# Over Q and Q(sqrt(d)) the kernels put each row and each column over the
-# lcm of its denominators; the entries below have 70-bit numerators and
-# pairwise coprime 70-bit prime denominators within a row (or a column),
-# so those lcms are as large as they get.  Half of the trials take small
-# shared denominators instead.
+# Matrix products against the term-by-term product of tests/oracles.py, on
+# the entries.  Over Q and Q(sqrt(d)) a matrix holds its rows over the lcm
+# of its entries' denominators; the entries below have 70-bit numerators
+# and pairwise coprime 70-bit prime denominators within a row (or a
+# column), so that lcm and the product's content gcd are as large as they
+# get.  Half of the trials take small shared denominators instead.
 
 SHAPES = [(k, k, k) for k in range(1, 7)] + [
     (2, 5, 3), (5, 2, 4), (6, 1, 4), (1, 6, 1), (3, 4, 6), (4, 6, 2)]
@@ -335,15 +337,13 @@ def test_products_match_the_termwise_product(ctx):
     add, mul, zero = oracle_ops(ctx)
     for trial, (m, k, n) in enumerate(SHAPES * 4):
         wide = trial // len(SHAPES) % 2 == 0
-        a = Matrix._of(ctx, raw_matrix(ctx, rng, m, k, wide, False))
-        b = Matrix._of(ctx, raw_matrix(ctx, rng, k, n, wide, True))
-        got = (a * b).raw
-        assert got == termwise_product(a.raw, b.raw, add, mul, zero)
+        a_rows = raw_matrix(ctx, rng, m, k, wide, False)
+        b_rows = raw_matrix(ctx, rng, k, n, wide, True)
+        a, b = (Matrix._of(ctx, *ctx.kernel.lift(r))
+                for r in (a_rows, b_rows))
+        got = raw_of((a * b).rows)
+        assert got == termwise_product(a_rows, b_rows, add, mul, zero)
         assert (len(got), len(got[0])) == (m, n)
-        if not ctx.is_finite:
-            parts = [x for r in got for e in r
-                     for x in (e if ctx.kind == "QSqrt" else (e,))]
-            assert all(type(x) is Fraction for x in parts)
 
 
 # Every kernel's det, inverse and rref against elimination with field
@@ -494,3 +494,134 @@ def test_elimination_makes_one_row_step_per_entry_it_clears(kind,
         steps = 0
         k.inverse(a)
         assert steps == n * (n - 1)
+
+
+# ---------------------------------------------------------------------------
+# The representation over Q and Q(sqrt(d)): a matrix is int rows (pairs in
+# Z[sqrt(d)]) over one int den, normal: den > 0 and prime to the content, so
+# a zero matrix has den 1.  Equality and hashing are then structural.  A
+# seeded chain of operations on operands over different dens keeps the
+# normal form, every result agrees with the same operation on scalars, and
+# two routes to one matrix give equal, equally hashed matrices.
+
+CHAIN_CTXS = [FieldCtx("Q")] + [FieldCtx("QSqrt", d=d) for d in (-1, 2, -3)]
+CHAIN_OPS = ("mul", "add", "sub", "scale", "stack", "jt", "inverse", "rref")
+
+
+def assert_normal(m):
+    ints = [x for r in m.raw for e in r
+            for x in (e if m.ctx.kind == "QSqrt" else (e,))]
+    assert all(type(x) is int for x in ints)
+    assert type(m.den) is int and m.den > 0
+    assert math.gcd(m.den, *ints) == 1
+    assert m.den == 1 or not m.is_zero()
+
+
+def assert_equal_routes(x, y):
+    assert_normal(x)
+    assert_normal(y)
+    assert x == y and y == x
+    assert hash(x) == hash(y)
+
+
+def chain_operand(ctx, rng, n, den):
+    # entries over divisors of den, so that operands' dens differ
+    divisors = [q for q in range(1, den + 1) if den % q == 0]
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.choice(divisors))
+
+    if ctx.kind == "Q":
+        return [[rational() for _ in range(n)] for _ in range(n)]
+    return [[ctx.kernel.wrap((rational(), rational())) for _ in range(n)]
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("ctx", CHAIN_CTXS, ids=repr)
+def test_operation_chain_keeps_the_normal_form(ctx):
+    rng = random.Random(f"chain:{ctx!r}")
+    n = 3
+    pool = [(Matrix(ctx, r), r) for r in
+            (chain_operand(ctx, rng, n, den) for den in (1, 2, 6, 35, 12))]
+    for m, _ in pool:
+        assert_normal(m)
+    for step in range(48):
+        op = CHAIN_OPS[step % len(CHAIN_OPS)]
+        (a, ar), (b, br), (c, cr) = rng.sample(pool, 3)
+        if op == "mul":
+            got, want = a * b, oracle_mul(ar, br)
+            assert_equal_routes(got * c, a * (b * c))
+        elif op in ("add", "sub"):
+            f = operator.add if op == "add" else operator.sub
+            got = a + b if op == "add" else a - b
+            want = [list(map(f, ra, rb)) for ra, rb in zip(ar, br)]
+            assert_equal_routes(got - b if op == "add" else got + b, a)
+            assert_equal_routes(a - a, Matrix.zeros(ctx, n, n))
+        elif op == "scale":
+            s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
+                         rng.randint(1, 12))
+            got, want = a.scale(s), [[x * s for x in r] for r in ar]
+            assert_equal_routes(got.scale(1 / s), a)
+            assert_equal_routes(a.scale(0), Matrix.zeros(ctx, n, n))
+        elif op == "stack":
+            wide, tall = a.hstack(b), b.vstack(c)
+            assert same(wide, [ra + rb for ra, rb in zip(ar, br)])
+            assert same(tall, br + cr)
+            assert_equal_routes(tall.row_block(n, 2 * n), c)
+            assert_equal_routes(wide.transpose(),
+                                a.transpose().vstack(b.transpose()))
+            got, want = wide * tall, oracle_mul(
+                [ra + rb for ra, rb in zip(ar, br)], br + cr)
+        elif op == "jt":
+            got = a.jt()
+            want = [[involution(ctx, ar[i][j]) for i in range(n)]
+                    for j in range(n)]
+            assert_equal_routes(got.jt(), a)
+        elif op == "inverse":
+            if not a.is_invertible():
+                continue
+            got, want = a.inverse(), oracle_inverse(ar)
+            assert_equal_routes(got * a, Matrix.identity(ctx, n))
+        else:
+            got, pivots = a.rref()
+            want, want_pivots = field_rref(OperatorOracle, ctx.zero(), ar)
+            assert pivots == want_pivots
+        assert same(got, want)
+        assert_equal_routes(Matrix(ctx, got.rows), got)
+        pool.append((got, [list(r) for r in got.rows]))
+    # equal entries if and only if equal matrices, over the whole pool
+    for (x, _), (y, _) in itertools.combinations(pool, 2):
+        assert (x.rows == y.rows) == (x == y)
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx("Q"), FieldCtx("QSqrt", d=-1)],
+                         ids=repr)
+def test_closed_operations_construct_no_fraction(ctx, monkeypatch):
+    # products, sums, stacks, inverses and reduced forms compute on the
+    # stored int rows; det makes one Fraction per rational coordinate of the
+    # scalar it returns: one over Q, two over Q(sqrt(d))
+    rng = random.Random(f"no fraction:{ctx!r}")
+    while True:
+        a, b, c = (Matrix(ctx, chain_operand(ctx, rng, 3, 6)).jt()
+                   for _ in range(3))
+        if a.is_invertible() and b.is_invertible() and c.is_invertible():
+            break
+    made = 0
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            nonlocal made
+            made += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fields, "Fraction", Counting)
+    product = a * b * c
+    assert made == 0
+    product.inverse()
+    product.hstack(a).vstack(b.hstack(c)).rref()
+    (product + a - b).jt().row_block(0, 2)
+    assert made == 0
+    product.det()
+    assert made == (1 if ctx.kind == "Q" else 2)
+    product.det()
+    assert made == (1 if ctx.kind == "Q" else 2)
